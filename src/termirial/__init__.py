@@ -4,13 +4,10 @@ analyzer, and grey-square figure rendering."""
 from . import fractal, loopnest
 from .budget import BudgetExceededError
 from .core import (
-    TermirialExpr,
     binomial,
     convolution_terms,
-    factorial,
     pascal_check,
     termirial,
-    termirial_expr,
     termirial_p,
     termirial_p_binomial,
 )
@@ -21,18 +18,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "Decomposition",
-    "TermirialExpr",
     "binomial",
     "convolution_terms",
     "decompose_by_leading",
-    "factorial",
     "fractal",
     "loopnest",
     "nested_sum",
     "pascal_check",
     "subsets",
     "termirial",
-    "termirial_expr",
     "termirial_p",
     "termirial_p_binomial",
 ]

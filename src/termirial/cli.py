@@ -71,14 +71,14 @@ def cmd_eval(args) -> int:
     if args.oracle and p < 0:
         raise UsageError("the iterated-sum oracle needs p >= 0")
 
-    expr = core.termirial_expr(n, p)
-    top, bottom = expr.binomial_form
-    lines = [_format_int(expr.value, args.pretty), f"binomial form: C({top}, {bottom})"]
-    result = {"value": expr.value, "binomial_top": top, "binomial_bottom": bottom}
+    value = core.termirial_p(n, p)
+    top, bottom = n + p, p + 1
+    lines = [_format_int(value, args.pretty), f"binomial form: C({top}, {bottom})"]
+    result = {"value": value, "binomial_top": top, "binomial_bottom": bottom}
     checks: list[dict] = []
     if args.oracle:
         observed = oracle.nested_sum(n, p, budget=_resolve_budget(args, DEFAULT_STEP_BUDGET))
-        agrees = observed == expr.value
+        agrees = observed == value
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"oracle (iterated sum): {_format_int(observed, args.pretty)} [{verdict}]")
         result["oracle_value"] = observed

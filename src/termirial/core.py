@@ -1,4 +1,4 @@
-"""Exact integer kernel: factorial, binomial, and the termirial operator.
+"""Exact integer kernel: the binomial and the termirial operator.
 
 The order-p termirial of n is the p-fold iterated sum 1 + 2 + ... carried
 up to n: order 1 is the triangular number n*(n+1)/2, order 2 the
@@ -9,8 +9,6 @@ function is pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MIN_ORDER = -1
 
@@ -23,15 +21,6 @@ def _check_count(name: str, value: int) -> None:
 def _check_order(p: int) -> None:
     if p < MIN_ORDER:
         raise ValueError(f"order must be >= {MIN_ORDER}, got {p}")
-
-
-def factorial(n: int) -> int:
-    """Product 1*2*...*n, with factorial(0) == 1."""
-    _check_count("n", n)
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def binomial(n: int, k: int) -> int:
@@ -81,25 +70,14 @@ def termirial_p_binomial(n: int, p: int) -> int:
     """Order-p termirial of n via C(n+p, p+1).
 
     Kept as a separate code path from termirial_p so the two can be
-    cross-checked; defined for n >= 1 (and n = 0 with p >= 0).
+    cross-checked; same domain as termirial_p.  Order -1 is the constant
+    1, since the formal form C(n-1, 0) is outside binomial()'s at n = 0.
     """
+    _check_count("n", n)
     _check_order(p)
+    if p == MIN_ORDER:
+        return 1
     return binomial(n + p, p + 1)
-
-
-@dataclass(frozen=True)
-class TermirialExpr:
-    """A termirial value together with its binomial reading C(n+p, p+1)."""
-
-    n: int
-    p: int
-    value: int
-    binomial_form: tuple[int, int]
-
-
-def termirial_expr(n: int, p: int) -> TermirialExpr:
-    """Evaluate termirial_p(n, p) and record its binomial form (n+p, p+1)."""
-    return TermirialExpr(n=n, p=p, value=termirial_p(n, p), binomial_form=(n + p, p + 1))
 
 
 def pascal_check(n: int, p: int) -> tuple[int, int]:

@@ -1,12 +1,14 @@
 """Grey-square figures whose cell counts are termirial values.
 
-The size-n figure at order 0 is a row of n unit cells.  Each next order
-halves the cell side and stacks the previous-order figures for 1..n as
-bands, bottom to top, left-aligned; the grey-cell count therefore
-telescopes to termirial_p(n, p).  Halving the side quarters a cell's
-area, so the surface ratio between consecutive orders is 4*(n+p)/(p+1),
-which falls to 4 as the order grows; its base-2 log is the dimension
-estimate that tends to 2.
+The size-n figure is a stack of left-aligned grey rows, held as its row
+lengths from bottom to top.  At order 0 it is one row of n unit cells.
+Each next order halves the cell side and stacks the previous-order
+figures for 1..n as bands, bottom to top, which is the Pascal rule
+rows(n, p) = rows(n-1, p) ++ rows(n, p-1) with rows(k, 0) = (k,); the
+grey-cell count therefore telescopes to termirial_p(n, p).  Halving the
+side quarters a cell's area, so the surface ratio between consecutive
+orders is 4*(n+p)/(p+1), which falls to 4 as the order grows; its base-2
+log is the dimension estimate that tends to 2.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .budget import DEFAULT_CELL_BUDGET, check_budget
 from .core import termirial_p
 
-# The builder recurses once per order; far above any count the cell
-# budget would allow anyway.
+# Building takes C(n+p, p) row entries, (p+1)/n times the cell count, so
+# for small n the cell budget alone does not bound the work; this does.
 MAX_BUILD_ORDER = 500
 
 SVG_CELL_PX = 10
@@ -28,20 +31,18 @@ SVG_FILL = "#808080"
 
 @dataclass(frozen=True)
 class FractalFigure:
-    """Grey cells of the order-p figure for n, on a 2^p-per-unit grid."""
+    """Order-p figure for n on a 2^p-per-unit grid, as row lengths.
+
+    rows[y] is the number of grey cells in row y, counted from the
+    bottom; every row starts at column 0.
+    """
 
     n: int
     p: int
     cell_side: Fraction  # in units of the base square side
-    grey_cells: frozenset[tuple[int, int]]
-
-    @property
-    def width(self) -> int:
-        return 1 + max(x for x, _ in self.grey_cells)
-
-    @property
-    def height(self) -> int:
-        return 1 + max(y for _, y in self.grey_cells)
+    rows: tuple[int, ...]
+    width: int
+    height: int
 
 
 def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
@@ -57,21 +58,12 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
     if n > 1 and p > MAX_BUILD_ORDER:
         raise ValueError(f"figures for n >= 2 are built per order and capped at order {MAX_BUILD_ORDER}")
     check_budget(termirial_p(n, p), budget, f"grey cells of figure ({n}, {p})")
-    return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), grey_cells=frozenset(_cells(n, p)))
-
-
-def _cells(n: int, p: int) -> set[tuple[int, int]]:
-    if n == 1:
-        return {(0, 0)}  # every band stack of a single cell is that cell
-    if p == 0:
-        return {(x, 0) for x in range(n)}
-    cells: set[tuple[int, int]] = set()
-    y_offset = 0
-    for k in range(1, n + 1):
-        band = _cells(k, p - 1)
-        cells.update((x, y + y_offset) for x, y in band)
-        y_offset += 1 + max(y for _, y in band)
-    return cells
+    rows = (n,) if p == 0 else tuple(range(1, n + 1))
+    for q in range(2, p + 1):
+        # From order 1 on, rows(k, q-1) is the first C(k+q-2, q-1) rows of
+        # rows(n, q-1), so each band is a prefix of the previous order.
+        rows = tuple(chain.from_iterable(rows[: math.comb(k + q - 2, q - 1)] for k in range(1, n + 1)))
+    return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), rows=rows, width=n, height=len(rows))
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
     if termirial_p(n, p) <= budget and (n == 1 or p <= MAX_BUILD_ORDER):
         fine = build(n, p, budget=budget)
         coarse = build(n, p - 1, budget=budget)
-        measured_ratio = 4 * Fraction(len(fine.grey_cells), len(coarse.grey_cells))
+        measured_ratio = 4 * Fraction(sum(fine.rows), sum(coarse.rows))
         if measured_ratio != closed:
             raise AssertionError(f"measured ratio {measured_ratio} != closed form {closed} at ({n}, {p})")
         measured = True
@@ -118,22 +110,14 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
 def render(fig: FractalFigure, fmt: str = "ascii") -> str:
     """Render a figure as an ASCII grid or a minimal SVG document.
 
-    Output is deterministic: cells are emitted in sorted order, '#' for
-    grey and '.' for empty in ASCII, one rect per grey cell in SVG.
+    Output is deterministic: '#' for grey and '.' for empty in ASCII, top
+    row first; in SVG one rect per grey cell, in sorted (x, y) order.
     """
     if fmt == "ascii":
-        return _render_ascii(fig)
+        return "\n".join("#" * length + "." * (fig.width - length) for length in reversed(fig.rows))
     if fmt == "svg":
         return _render_svg(fig)
     raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
-
-
-def _render_ascii(fig: FractalFigure) -> str:
-    width, height = fig.width, fig.height
-    rows = []
-    for y in range(height - 1, -1, -1):
-        rows.append("".join("#" if (x, y) in fig.grey_cells else "." for x in range(width)))
-    return "\n".join(rows)
 
 
 def _render_svg(fig: FractalFigure) -> str:
@@ -143,12 +127,17 @@ def _render_svg(fig: FractalFigure) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">'
     ]
-    for x, y in sorted(fig.grey_cells):
+    columns: list[list[int]] = [[] for _ in range(fig.width)]
+    for y, length in enumerate(fig.rows):
+        for x in range(length):
+            columns[x].append(y)
+    for x, ys in enumerate(columns):
         px = x * SVG_CELL_PX
-        py = (fig.height - 1 - y) * SVG_CELL_PX
-        lines.append(
-            f'  <rect x="{px}" y="{py}" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" '
-            f'fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
-        )
+        for y in ys:
+            py = (fig.height - 1 - y) * SVG_CELL_PX
+            lines.append(
+                f'  <rect x="{px}" y="{py}" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" '
+                f'fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
+            )
     lines.append("</svg>")
     return "\n".join(lines)

@@ -129,7 +129,7 @@ def test_loop_analyzer_against_simulator():
 def test_fractal_counts_ratio_and_dimension_limit():
     for n in range(1, 11):
         for p in range(0, 9):
-            assert len(build(n, p).grey_cells) == termirial_p(n, p), (n, p)
+            assert sum(build(n, p).rows) == termirial_p(n, p), (n, p)
     for n in range(1, 11):
         for p in range(1, 9):
             rep = surface_report(n, p)

@@ -1,7 +1,7 @@
 """Kernel values and identity sweeps.
 
 Expected values come from independent routes: hand-checked constants,
-stdlib math.comb / math.factorial, and literal summation loops inline.
+stdlib math.comb, and literal summation loops inline.
 """
 
 import math
@@ -11,29 +11,11 @@ import pytest
 from termirial.core import (
     binomial,
     convolution_terms,
-    factorial,
     pascal_check,
     termirial,
-    termirial_expr,
     termirial_p,
     termirial_p_binomial,
 )
-
-
-def test_factorial_base_cases():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(5) == 120  # 1*2*3*4*5
-
-
-def test_factorial_matches_stdlib():
-    for n in range(0, 40):
-        assert factorial(n) == math.factorial(n)
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_binomial_known_values():
@@ -113,6 +95,8 @@ def test_both_closed_forms_match_stdlib():
             expected = math.comb(n + p, p + 1)
             assert termirial_p(n, p) == expected, (n, p)
             assert termirial_p_binomial(n, p) == expected, (n, p)
+    # order -1 is 1 by definition; at n = 0 math.comb(-1, 0) itself raises
+    assert termirial_p(0, -1) == termirial_p_binomial(0, -1) == 1
 
 
 def test_binomial_route_spot_values():
@@ -205,18 +189,3 @@ def test_identities_hold_at_zero_boundary():
             assert sum(convolution_terms(0, m, p)) == termirial_p(m, p)
             lhs, rhs = pascal_check(0, p)
             assert lhs == rhs
-
-
-def test_termirial_expr_binomial_form():
-    expr = termirial_expr(100, 3)
-    assert expr.value == 4421275
-    assert expr.binomial_form == (103, 4)
-    assert termirial_expr(0, -1).value == 1
-    for n in range(0, 15):
-        for p in range(-1, 6):
-            if n == 0 and p == -1:
-                continue  # the formal form C(-1, 0) is outside binomial()'s domain
-            e = termirial_expr(n, p)
-            top, bottom = e.binomial_form
-            assert (top, bottom) == (n + p, p + 1)
-            assert e.value == binomial(top, bottom)

@@ -1,37 +1,111 @@
-"""Figure construction, the surface ratio, and both render formats."""
+"""Figure construction, the surface ratio, and both render formats.
+
+The figure builder is checked against an independent oracle: the grey
+cells as an explicit (x, y) set, built by recursive band stacking, with
+renderers that read only that set.
+"""
 
 import math
+from functools import cache
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
-from termirial.fractal import build, render, surface_report
+from termirial.fractal import SVG_CELL_PX, SVG_FILL, build, render, surface_report
+
+
+@cache
+def oracle_cells(n: int, p: int) -> frozenset[tuple[int, int]]:
+    """Stack the order-(p-1) figures for 1..n as bands, bottom to top."""
+    if n == 1:
+        return frozenset({(0, 0)})  # every band stack of a single cell is that cell
+    if p == 0:
+        return frozenset((x, 0) for x in range(n))
+    cells: set[tuple[int, int]] = set()
+    y_offset = 0
+    for k in range(1, n + 1):
+        band = oracle_cells(k, p - 1)
+        cells.update((x, y + y_offset) for x, y in band)
+        y_offset += 1 + max(y for _, y in band)
+    return frozenset(cells)
+
+
+def oracle_ascii(cells) -> str:
+    width, height = 1 + max(x for x, _ in cells), 1 + max(y for _, y in cells)
+    rows = []
+    for y in range(height - 1, -1, -1):
+        rows.append("".join("#" if (x, y) in cells else "." for x in range(width)))
+    return "\n".join(rows)
+
+
+def oracle_svg(cells) -> str:
+    width, height = 1 + max(x for x, _ in cells), 1 + max(y for _, y in cells)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width * SVG_CELL_PX} {height * SVG_CELL_PX}" '
+        f'width="{width * SVG_CELL_PX}" height="{height * SVG_CELL_PX}">'
+    ]
+    for x, y in sorted(cells):
+        lines.append(
+            f'  <rect x="{x * SVG_CELL_PX}" y="{(height - 1 - y) * SVG_CELL_PX}" '
+            f'width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" '
+            f'fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines)
+
+
+def cells_of(fig) -> set[tuple[int, int]]:
+    return {(x, y) for y, length in enumerate(fig.rows) for x in range(length)}
+
+
+ORACLE_SHAPES = [(n, p) for n in range(1, 11) for p in range(0, 9)] + [(1, 50)]
+
+
+@pytest.mark.parametrize("n, p", ORACLE_SHAPES)
+def test_rows_match_cell_set_oracle(n, p):
+    fig = build(n, p)
+    cells = oracle_cells(n, p)
+    assert cells_of(fig) == cells
+    assert (fig.width, fig.height) == (1 + max(x for x, _ in cells), 1 + max(y for _, y in cells))
+    assert render(fig) == oracle_ascii(cells)
+    assert render(fig, "svg") == oracle_svg(cells)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 12), st.integers(0, 10)), st.tuples(st.integers(1, 3), st.integers(0, 300))))
+def test_row_count_and_cell_count(shape):
+    n, p = shape
+    fig = build(n, p)
+    assert sum(fig.rows) == math.comb(n + p, p + 1)
+    assert len(fig.rows) == fig.height == math.comb(n + p - 1, p)
 
 
 def test_base_order_is_a_row():
     fig = build(4, 0)
-    assert fig.grey_cells == {(0, 0), (1, 0), (2, 0), (3, 0)}
+    assert fig.rows == (4,)
     assert fig.cell_side == 1
     assert (fig.width, fig.height) == (4, 1)
 
 
 def test_band_stacking_layout():
     # order 1 stacks rows of 1..n, largest on top, left-aligned
-    fig = build(4, 1)
-    rows = {y: {x for x, yy in fig.grey_cells if yy == y} for y in range(fig.height)}
-    assert rows == {0: {0}, 1: {0, 1}, 2: {0, 1, 2}, 3: {0, 1, 2, 3}}
+    assert build(4, 1).rows == (1, 2, 3, 4)
+    # order 2 stacks the order-1 figures for 1..4
+    assert build(4, 2).rows == (1, 1, 2, 1, 2, 3, 1, 2, 3, 4)
 
 
 def test_twenty_grey_cells_at_order_two():
-    assert len(build(4, 2).grey_cells) == 20
+    assert sum(build(4, 2).rows) == 20
 
 
 def test_single_column_any_order():
     for p in (0, 1, 5, 12, 50):
         fig = build(1, p)
-        assert fig.grey_cells == {(0, 0)}
+        assert fig.rows == (1,)
         assert fig.cell_side == Fraction(1, 2**p)
 
 
@@ -39,8 +113,8 @@ def test_cell_count_sweep():
     for n in range(1, 11):
         for p in range(0, 9):
             fig = build(n, p)
-            assert len(fig.grey_cells) == termirial_p(n, p), (n, p)
-            assert all(x >= 0 and y >= 0 for x, y in fig.grey_cells)
+            assert sum(fig.rows) == termirial_p(n, p), (n, p)
+            assert all(1 <= length <= fig.width for length in fig.rows)
 
 
 def test_cell_side_halves_per_order():
