@@ -41,8 +41,14 @@ class FractalFigure:
     p: int
     cell_side: Fraction  # in units of the base square side
     rows: tuple[int, ...]
-    width: int
-    height: int
+
+    @property
+    def width(self) -> int:
+        return self.n
+
+    @property
+    def height(self) -> int:
+        return len(self.rows)
 
 
 def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
@@ -59,11 +65,12 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
         raise ValueError(f"figures for n >= 2 are built per order and capped at order {MAX_BUILD_ORDER}")
     check_budget(termirial_p(n, p), budget, f"grey cells of figure ({n}, {p})")
     rows = (n,) if p == 0 else tuple(range(1, n + 1))
-    for q in range(2, p + 1):
+    # rows(1, q) is (1,) at every order, so only n >= 2 stacks bands.
+    for q in range(2, p + 1 if n > 1 else 2):
         # From order 1 on, rows(k, q-1) is the first C(k+q-2, q-1) rows of
         # rows(n, q-1), so each band is a prefix of the previous order.
         rows = tuple(chain.from_iterable(rows[: math.comb(k + q - 2, q - 1)] for k in range(1, n + 1)))
-    return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), rows=rows, width=n, height=len(rows))
+    return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), rows=rows)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Iterated sum with exactly p sigma levels; p = 0 is n itself.
 
     Runs the summation literally, one sigma level per recursion step, so
-    it shares no code with the closed forms.  The projected work is the
-    result C(n+p, p+1), which bounds the innermost steps, and must stay
-    within budget.
+    it shares no code with the closed forms.  The projected work is
+    C(n+p+1, p+1) = C(n+p, p) + C(n+p, p+1), which bounds both the sigma
+    calls and the level-1 additions, and must stay within budget.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if p < 0:
         raise ValueError(f"nested_sum needs p >= 0 sigma levels, got {p}")
-    check_budget(math.comb(n + p, p + 1), budget, f"nested_sum({n}, {p})")
+    check_budget(math.comb(n + p + 1, p + 1), budget, f"nested_sum({n}, {p})")
 
     def sigma(bound: int, levels: int) -> int:
         if levels == 0:

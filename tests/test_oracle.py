@@ -25,13 +25,21 @@ def test_nested_sum_matches_closed_form():
 def test_nested_sum_budget_guard():
     with pytest.raises(BudgetExceededError) as caught:
         nested_sum(50, 8, budget=10**6)
-    assert caught.value.projected == math.comb(58, 9)
+    assert caught.value.projected == math.comb(59, 9)
     assert caught.value.budget == 10**6
 
 
 def test_nested_sum_projects_its_result_count():
     # 6**6 = 46656 would refuse this, but only 792 innermost steps run
     assert nested_sum(6, 6, budget=10**4) == 792
+
+
+def test_nested_sum_projection_bounds_its_calls():
+    # the result C(404, 3) fits the default budget, but the C(403, 4) sigma
+    # calls would not, so the call is refused before it runs
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(4, 400)
+    assert caught.value.projected == math.comb(405, 401)
 
 
 def test_nested_sum_rejects_bad_arguments():
