@@ -9,7 +9,6 @@ from .core import (
     pascal_check,
     termirial,
     termirial_p,
-    termirial_p_binomial,
 )
 from .oracle import Decomposition, decompose_by_leading, nested_sum, subsets
 
@@ -28,5 +27,4 @@ __all__ = [
     "subsets",
     "termirial",
     "termirial_p",
-    "termirial_p_binomial",
 ]

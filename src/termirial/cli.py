@@ -8,6 +8,7 @@ parse error, 3 a work guard tripped.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -135,7 +136,7 @@ def _check_recurrence(n: int, p: int) -> tuple[bool, str]:
 
 def _check_closedform(n: int, p: int) -> tuple[bool, str]:
     a = core.termirial_p(n, p)
-    b = core.termirial_p_binomial(n, p)
+    b = oracle.termirial_product(n, p)
     return a == b, f"{a} {'=' if a == b else '!='} C({n + p}, {p + 1})"
 
 
@@ -180,23 +181,14 @@ def cmd_check(args) -> int:
     lines: list[str] = []
     checks: list[dict] = []
     failures = 0
-
-    def sweep(assigned: list[int], remaining: list[str]) -> None:
-        nonlocal failures
-        if not remaining:
-            ok, detail = check_fn(*assigned)
-            if not ok:
-                failures += 1
-            if show_each or not ok:
-                label = " ".join(f"{v}={x}" for v, x in zip(variables, assigned))
-                lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {detail}")
-                checks.append({"name": f"{args.identity} {label}", "pass": ok})
-            return
-        lo, hi = ranges[remaining[0]]
-        for value in range(lo, hi + 1):
-            sweep(assigned + [value], remaining[1:])
-
-    sweep([], list(variables))
+    for assigned in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges.values())):
+        ok, detail = check_fn(*assigned)
+        if not ok:
+            failures += 1
+        if show_each or not ok:
+            label = " ".join(f"{v}={x}" for v, x in zip(variables, assigned))
+            lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {detail}")
+            checks.append({"name": f"{args.identity} {label}", "pass": ok})
 
     range_text = " ".join(f"{v}={lo}..{hi}" for v, (lo, hi) in ranges.items())
     verdict = "all pass" if failures == 0 else f"{failures} FAILED"

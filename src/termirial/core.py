@@ -5,10 +5,13 @@ up to n: order 1 is the triangular number n*(n+1)/2, order 2 the
 tetrahedral number, and so on (the (p+1)-simplicial polytopic numbers).
 Order 0 is n itself and order -1 is the constant 1.  Everything here is
 plain Python int arithmetic, so results are exact at any size, and every
-function is pure.
+function is pure.  Every value comes from one kernel, the stdlib's exact
+math.comb; the independent cross-check lives in `oracle`.
 """
 
 from __future__ import annotations
+
+import math
 
 MIN_ORDER = -1
 
@@ -24,21 +27,10 @@ def _check_order(p: int) -> None:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) for k <= n, 0 for k > n.
-
-    Uses the running product C(n, k) = prod (n-k+i)/i, which stays an
-    exact integer at every step; the two-factorial quotient is never
-    formed.
-    """
+    """C(n, k) for k <= n, 0 for k > n."""
     _check_count("n", n)
     _check_count("k", k)
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def termirial(n: int) -> int:
@@ -48,36 +40,17 @@ def termirial(n: int) -> int:
 
 
 def termirial_p(n: int, p: int) -> int:
-    """Order-p termirial of n.
+    """Order-p termirial of n, C(n+p, p+1).
 
-    Computed incrementally: at step i the value is multiplied by (n + i)
-    and divided by (i + 1).  The partial value after step i is the
-    binomial coefficient C(n+i, i+1), so every division is exact and no
-    (p+1)! intermediate is ever built.  termirial_p(n, 0) == n,
-    termirial_p(n, -1) == 1, and the n = 0 boundary yields 0 for p >= 0.
+    termirial_p(n, 0) == n, termirial_p(n, -1) == 1, and the n = 0
+    boundary yields 0 for p >= 0.  Order -1 is the constant 1 because the
+    formal form C(n-1, 0) is undefined at n = 0.
     """
     _check_count("n", n)
     _check_order(p)
     if p == MIN_ORDER:
         return 1
-    out = 1
-    for i in range(p + 1):
-        out = out * (n + i) // (i + 1)
-    return out
-
-
-def termirial_p_binomial(n: int, p: int) -> int:
-    """Order-p termirial of n via C(n+p, p+1).
-
-    Kept as a separate code path from termirial_p so the two can be
-    cross-checked; same domain as termirial_p.  Order -1 is the constant
-    1, since the formal form C(n-1, 0) is outside binomial()'s at n = 0.
-    """
-    _check_count("n", n)
-    _check_order(p)
-    if p == MIN_ORDER:
-        return 1
-    return binomial(n + p, p + 1)
+    return math.comb(n + p, p + 1)
 
 
 def pascal_check(n: int, p: int) -> tuple[int, int]:

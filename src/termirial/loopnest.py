@@ -278,20 +278,24 @@ def simulate(prog: LoopNestProgram, n: int, budget: int = DEFAULT_STEP_BUDGET) -
     """Run the nest literally and count innermost-body entries.
 
     Independent of the closed form apart from the budget pre-check, so it
-    serves as the oracle for analyze().  A bound of 0 is an empty loop
-    and contributes nothing.
+    serves as the oracle for analyze().  The loops run from an explicit
+    stack of (level, bound) pairs, so nest depth is not limited by the
+    interpreter's recursion limit.  A bound of 0 is an empty loop and
+    contributes nothing.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_budget(termirial_p(n, prog.depth - 1), budget, f"simulate depth {prog.depth} with n = {n}")
     last = prog.depth - 1
-
-    def run(level: int, bound: int) -> int:
+    entries = 0
+    stack = [(0, n)]
+    while stack:
+        level, bound = stack.pop()
         if level == last:
-            entries = 0
+            body = 0  # counted per innermost loop, so the tally stays a cached small int
             for _ in range(1, bound + 1):
-                entries += 1
-            return entries
-        return sum(run(level + 1, k) for k in range(1, bound + 1))
-
-    return run(0, n)
+                body += 1
+            entries += body
+        else:
+            stack.extend((level + 1, k) for k in range(1, bound + 1))
+    return entries

@@ -1,9 +1,11 @@
-"""Brute-force oracles: literal iterated sums and explicit subset listings.
+"""Brute-force oracles: the running product, literal iterated sums, and
+explicit subset listings.
 
 Everything here recomputes termirial values the slow, obviously-correct
-way, so the closed forms in `core` can be checked against an independent
-path.  Calls that would grind forever raise BudgetExceededError instead
-of hanging; the budget is a per-call argument, never global state.
+way and imports nothing from `core`, so the closed form there can be
+checked against an independent path.  Calls that would grind forever
+raise BudgetExceededError instead of hanging; the budget is a per-call
+argument, never global state.
 """
 
 from __future__ import annotations
@@ -13,18 +15,35 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import DEFAULT_STEP_BUDGET, check_budget
-from .core import binomial
 
 MAX_ENUM_N = 20
+
+
+def termirial_product(n: int, p: int) -> int:
+    """Order-p termirial of n as the running product prod (n+i)/(i+1), i = 0..p.
+
+    The partial value after step i is C(n+i, i+1), so every division is
+    exact.  The empty product gives 1 at p = -1, and the i = 0 factor
+    gives 0 at n = 0.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if p < -1:
+        raise ValueError(f"order must be >= -1, got {p}")
+    out = 1
+    for i in range(p + 1):
+        out = out * (n + i) // (i + 1)
+    return out
 
 
 def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Iterated sum with exactly p sigma levels; p = 0 is n itself.
 
-    Runs the summation literally, one sigma level per recursion step, so
-    it shares no code with the closed forms.  The projected work is
-    C(n+p+1, p+1) = C(n+p, p) + C(n+p, p+1), which bounds both the sigma
-    calls and the level-1 additions, and must stay within budget.
+    Runs the summation literally, one sigma level per stack entry, so it
+    shares no code with the closed forms and no depth limit applies.  The
+    projected work is C(n+p+1, p+1) = C(n+p, p) + C(n+p, p+1), which
+    bounds both the sigma entries and the level-1 additions, and must
+    stay within budget.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -32,14 +51,17 @@ def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
         raise ValueError(f"nested_sum needs p >= 0 sigma levels, got {p}")
     check_budget(math.comb(n + p + 1, p + 1), budget, f"nested_sum({n}, {p})")
 
-    def sigma(bound: int, levels: int) -> int:
-        if levels == 0:
-            return bound
+    if p == 0:
+        return n
+    total = 0
+    stack = [(p, n)]
+    while stack:
+        levels, bound = stack.pop()
         if levels == 1:
-            return sum(range(1, bound + 1))
-        return sum(sigma(k, levels - 1) for k in range(1, bound + 1))
-
-    return sigma(n, p)
+            total += sum(range(1, bound + 1))
+        else:
+            stack.extend((levels - 1, k) for k in range(1, bound + 1))
+    return total
 
 
 def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int, ...]]:
@@ -51,7 +73,7 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
     check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
-    check_budget(binomial(n, p), budget, f"subsets({n}, {p})")
+    check_budget(math.comb(n, p), budget, f"subsets({n}, {p})")
     return list(combinations(range(1, n + 1), p))
 
 

@@ -271,6 +271,15 @@ def test_loops_parse_error_exit_and_position(capsys, monkeypatch):
     assert "line 1, column 9" in err
 
 
+def test_loops_simulate_deep_nest(capsys, tmp_path):
+    lines = ["n = 1", "for v0 = 1 to n"] + [f"for v{d} = 1 to v{d - 1}" for d in range(1, 3000)]
+    path = tmp_path / "deep.loop"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "loops", str(path), "--simulate", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["simulated"] == 1
+
+
 def test_loops_simulation_budget(capsys, monkeypatch):
     code, _, _ = run_cli_stdin(capsys, monkeypatch, FOUR_LOOPS, "loops", "--simulate", "--budget", "1000")
     assert code == 3

@@ -1,12 +1,15 @@
 """Kernel values and identity sweeps.
 
-Expected values come from independent routes: hand-checked constants,
-stdlib math.comb, and literal summation loops inline.
+The kernel is math.comb, so expected values come from routes that do not
+use it: hand-checked constants, Pascal's triangle built by addition, the
+oracle's running product, and literal summation loops inline.
 """
 
-import math
+import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from termirial.core import (
     binomial,
@@ -14,8 +17,11 @@ from termirial.core import (
     pascal_check,
     termirial,
     termirial_p,
-    termirial_p_binomial,
 )
+from termirial.oracle import termirial_product
+
+COUNTS = st.integers(0, 200)
+ORDERS = st.integers(-1, 60)
 
 
 def test_binomial_known_values():
@@ -38,12 +44,13 @@ def test_binomial_rejects_negative():
         binomial(3, -1)
 
 
-def test_binomial_matches_stdlib_and_symmetry():
+def test_binomial_matches_pascal_triangle_and_symmetry():
+    row = [1]
     for n in range(0, 41):
-        for k in range(0, n + 1):
-            value = binomial(n, k)
-            assert value == math.comb(n, k)
-            assert value == binomial(n, n - k)
+        for k, value in enumerate(row):
+            assert binomial(n, k) == value, (n, k)
+            assert binomial(n, n - k) == value, (n, k)
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
 
 
 def test_triangular_values():
@@ -89,21 +96,14 @@ def test_termirial_p_rejects_bad_arguments():
         termirial_p(-1, 2)
 
 
-def test_both_closed_forms_match_stdlib():
-    for n in range(1, 31):
-        for p in range(-1, 9):
-            expected = math.comb(n + p, p + 1)
-            assert termirial_p(n, p) == expected, (n, p)
-            assert termirial_p_binomial(n, p) == expected, (n, p)
-    # order -1 is 1 by definition; at n = 0 math.comb(-1, 0) itself raises
-    assert termirial_p(0, -1) == termirial_p_binomial(0, -1) == 1
-
-
-def test_binomial_route_spot_values():
-    assert termirial_p_binomial(4, 1) == 10
-    assert termirial_p_binomial(4, 2) == 20
-    for n in range(1, 25):
-        assert termirial_p_binomial(n, 0) == n
+def test_closed_form_matches_product_and_literal_sum():
+    summed = [1] * 30  # order -1 at n = 1..30; each order is the running sum of the one below
+    for p in range(-1, 9):
+        for n, expected in enumerate(summed, start=1):
+            assert termirial_p(n, p) == termirial_product(n, p) == expected, (n, p)
+        summed = list(itertools.accumulate(summed))
+    # order -1 is 1 by definition; at n = 0 the formal C(-1, 0) is undefined
+    assert termirial_p(0, -1) == termirial_product(0, -1) == 1
 
 
 def test_summation_recurrence():
@@ -189,3 +189,24 @@ def test_identities_hold_at_zero_boundary():
             assert sum(convolution_terms(0, m, p)) == termirial_p(m, p)
             lhs, rhs = pascal_check(0, p)
             assert lhs == rhs
+
+
+@given(COUNTS, ORDERS)
+def test_closed_form_matches_running_product(n, p):
+    assert termirial_p(n, p) == termirial_product(n, p)
+
+
+@given(COUNTS, ORDERS)
+def test_pascal_rule_property(n, p):
+    lhs, rhs = pascal_check(n, p)
+    assert lhs == rhs
+
+
+@given(COUNTS, COUNTS, ORDERS)
+def test_convolution_property(n, m, p):
+    assert sum(convolution_terms(n, m, p)) == termirial_p(n + m, p)
+
+
+@given(COUNTS, st.integers(0, 60))
+def test_summation_recurrence_property(n, p):
+    assert termirial_p(n, p) == sum(termirial_p(k, p - 1) for k in range(1, n + 1))

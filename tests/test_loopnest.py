@@ -1,10 +1,13 @@
 """Loop-nest DSL: parsing, error positions, analysis, and the simulator."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
 from termirial.loopnest import (
+    KEYWORDS,
     DuplicateIndexError,
     Loop,
     LoopNestError,
@@ -109,6 +112,27 @@ def test_render_round_trip():
         assert parse(render(prog)) == prog
 
 
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True).filter(lambda name: name.lower() not in KEYWORDS)
+
+
+@given(st.lists(NAMES, min_size=2, max_size=8, unique=True), st.none() | st.integers(0, 10**6))
+def test_render_round_trip_property(names, value):
+    param, *indices = names
+    bounds = [param, *indices[:-1]]
+    loops = tuple(Loop(index=index, bound=bound) for index, bound in zip(indices, bounds))
+    prog = LoopNestProgram(param_name=param, param_value=value, loops=loops)
+    assert parse(render(prog)) == prog
+
+
+@given(st.text() | st.text(alphabet="forFOR toTO=0123456789nijk_#\t\n -"))
+def test_parse_raises_only_loop_nest_errors(source):
+    try:
+        prog = parse(source)
+    except LoopNestError:
+        return
+    assert prog.depth >= 1
+
+
 def test_analyze_four_loop_program():
     res = analyze(parse(FOUR_LOOPS))
     assert res.depth == 4
@@ -160,6 +184,10 @@ def test_simulate_edge_bounds():
     for depth in range(1, 5):
         assert simulate(chain_program(depth), 1) == 1
         assert simulate(chain_program(depth), 0) == 0
+
+
+def test_simulate_has_no_depth_limit():
+    assert simulate(chain_program(3000), 1) == 1
 
 
 def test_simulate_budget_guard():

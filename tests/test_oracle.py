@@ -1,12 +1,47 @@
-"""Brute-force oracles: literal sums, subset listings, and their guards."""
+"""Brute-force oracles: the running product, literal sums, subset listings,
+and their guards."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+from termirial import oracle
 from termirial.budget import BudgetExceededError
 from termirial.core import binomial, termirial, termirial_p
-from termirial.oracle import decompose_by_leading, nested_sum, subsets
+from termirial.oracle import decompose_by_leading, nested_sum, subsets, termirial_product
+
+
+def test_oracle_imports_nothing_from_core():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    assert not [name for name in imported if "core" in name.split(".")]
+
+
+def test_termirial_product_spot_values():
+    assert termirial_product(4, 1) == 10
+    assert termirial_product(4, 2) == 20
+    assert termirial_product(100, 3) == 4421275
+    for n in range(1, 25):
+        assert termirial_product(n, 0) == n
+        assert termirial_product(n, -1) == 1
+    assert termirial_product(0, -1) == 1
+    for p in range(0, 10):
+        assert termirial_product(0, p) == 0
+
+
+def test_termirial_product_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        termirial_product(-1, 2)
+    with pytest.raises(ValueError):
+        termirial_product(4, -2)
 
 
 def test_nested_sum_examples():
@@ -20,6 +55,10 @@ def test_nested_sum_matches_closed_form():
     for n in range(1, 16):
         for p in range(0, 5):
             assert nested_sum(n, p) == termirial_p(n, p), (n, p)
+
+
+def test_nested_sum_has_no_depth_limit():
+    assert nested_sum(1, 5000) == 1
 
 
 def test_nested_sum_budget_guard():
