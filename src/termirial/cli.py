@@ -26,6 +26,10 @@ EXIT_BUDGET = 3
 DEFAULT_MAX_ORDER = 10**4
 MAX_SWEEP_TUPLES = 10**6
 MAX_SWEEP_VALUE = 10**6
+# Work cap of a check sweep, in kernel calls; a running-product step counts as
+# one.  The largest sweep the tuple cap admits at a fixed cost per tuple,
+# split2 over 10**6 tuples, makes 1.3 * 10**7 of them.
+MAX_SWEEP_CALLS = 2 * 10**7
 
 
 class UsageError(Exception):
@@ -141,18 +145,18 @@ def _check_closedform(n: int, p: int) -> tuple[bool, str]:
 
 
 _IDENTITIES = {
-    # name: (variables, per-tuple check, default ranges)
-    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}),
-    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}),
-    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}),
-    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}),
-    "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}),
-    "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}),
+    # name: (variables, per-tuple check, default ranges, kernel calls per tuple)
+    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: 3),
+    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}, lambda n, m, p: 2 * p + 5),
+    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 9),
+    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 13),
+    "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}, lambda n, p: n + 1),
+    "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}, lambda n, p: p + 2),
 }
 
 
 def cmd_check(args) -> int:
-    variables, check_fn, defaults = _IDENTITIES[args.identity]
+    variables, check_fn, defaults, calls_per_tuple = _IDENTITIES[args.identity]
     for var in ("n", "m", "p"):
         if getattr(args, var) is not None and var not in variables:
             raise UsageError(f"identity '{args.identity}' does not take --{var}")
@@ -176,6 +180,12 @@ def cmd_check(args) -> int:
         total *= hi - lo + 1
     if total > MAX_SWEEP_TUPLES:
         raise UsageError(f"sweep of {total} tuples exceeds the cap of {MAX_SWEEP_TUPLES}")
+    # the calls per tuple are affine in each variable and the variables are
+    # swept independently, so the total is the tuple count times the calls at
+    # the ranges' midpoints
+    calls = int(total * calls_per_tuple(*(Fraction(lo + hi, 2) for lo, hi in ranges.values())))
+    if calls > MAX_SWEEP_CALLS:
+        raise UsageError(f"sweep of {total} tuples makes {calls} kernel calls, over the cap of {MAX_SWEEP_CALLS}")
 
     show_each = args.each or total == 1
     lines: list[str] = []
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loops = sub.add_parser("loops", parents=[shared], help="analyze a chain loop-nest program")
     p_loops.add_argument("file", nargs="?", help="program file (.loop); stdin when omitted or '-'")
     p_loops.add_argument("--n", type=int, metavar="N", help="override the nest parameter")
-    p_loops.add_argument("--simulate", action="store_true", help="run the nest literally and compare")
+    p_loops.add_argument("--simulate", action="store_true", help="count the body entries by brute force and compare")
     p_loops.set_defaults(handler=cmd_loops)
 
     p_fractal = sub.add_parser("fractal", parents=[shared], help="build and render the grey-square figure")

@@ -1,4 +1,4 @@
-"""Parser, analyzer, and literal simulator for chain loop nests.
+"""Parser, analyzer, and brute-force simulator for chain loop nests.
 
 The DSL describes nests such as
 
@@ -145,7 +145,12 @@ class _LineParser:
         token = self._next("an integer")
         if token.kind != "int":
             raise LoopSyntaxError(f"expected an integer, found {token.text!r}", self.lineno, token.column)
-        return int(token.text)
+        try:
+            return int(token.text)
+        except ValueError:  # longer than the interpreter's integer string conversion limit
+            raise LoopSyntaxError(
+                f"integer literal of {len(token.text)} digits is too long", self.lineno, token.column
+            ) from None
 
     def end(self) -> None:
         if self.pos < len(self.tokens):
@@ -162,7 +167,7 @@ def parse(source: str) -> LoopNestProgram:
     param_name: str | None = None
     param_value: int | None = None
     loops: list[Loop] = []
-    index_names: list[str] = []
+    index_names: set[str] = set()
     lineno = 0
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -194,7 +199,7 @@ def parse(source: str) -> LoopNestProgram:
         if index.text == param_name or index.text in index_names:
             raise DuplicateIndexError(f"index {index.text!r} is already in use", lineno, index.column)
 
-        enclosing = param_name if first else index_names[-1]
+        enclosing = param_name if first else loops[-1].index
         if bound.text != enclosing:
             known = bound.text == param_name or bound.text in index_names or bound.text == index.text
             if known:
@@ -204,7 +209,7 @@ def parse(source: str) -> LoopNestProgram:
             raise UnknownIdentifierError(f"unknown name {bound.text!r}", lineno, bound.column)
 
         loops.append(Loop(index=index.text, bound=bound.text))
-        index_names.append(index.text)
+        index_names.add(index.text)
 
     if not loops:
         raise LoopSyntaxError("expected at least one loop", max(lineno, 1), 1)
@@ -275,27 +280,27 @@ def analyze(prog: LoopNestProgram, n: int | None = None) -> AnalysisResult:
 
 
 def simulate(prog: LoopNestProgram, n: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
-    """Run the nest literally and count innermost-body entries.
+    """Enumerate the nest's outer index tuples and count innermost-body entries.
 
     Independent of the closed form apart from the budget pre-check, so it
-    serves as the oracle for analyze().  The loops run from an explicit
-    stack of (level, bound) pairs, so nest depth is not limited by the
-    interpreter's recursion limit.  A bound of 0 is an empty loop and
-    contributes nothing.
+    serves as the oracle for analyze().  Every index tuple of the outer
+    depth-2 loops is enumerated from an explicit stack of (levels, bound)
+    pairs, so nest depth is not limited by the interpreter's recursion
+    limit.  Under index j the innermost loop runs 1..j, j entries, so the
+    last two loops add up as sum(range(1, bound + 1)) in one call.  A
+    bound of 0 is an empty loop and contributes nothing.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_budget(termirial_p(n, prog.depth - 1), budget, f"simulate depth {prog.depth} with n = {n}")
-    last = prog.depth - 1
+    if prog.depth == 1 or n == 0:
+        return n
     entries = 0
-    stack = [(0, n)]
+    stack = [(prog.depth - 1, n)]
     while stack:
-        level, bound = stack.pop()
-        if level == last:
-            body = 0  # counted per innermost loop, so the tally stays a cached small int
-            for _ in range(1, bound + 1):
-                body += 1
-            entries += body
+        levels, bound = stack.pop()
+        if levels == 1:
+            entries += sum(range(1, bound + 1))
         else:
-            stack.extend((level + 1, k) for k in range(1, bound + 1))
+            stack.extend((levels - 1, k) for k in range(1, bound + 1))
     return entries

@@ -163,6 +163,48 @@ def test_check_usage_errors(argv, capsys):
     assert code == 2
 
 
+def test_check_refuses_sweeps_over_the_call_cap():
+    # 10**6 tuples pass the tuple cap, but recurrence makes n + 1 kernel calls per tuple
+    proc = subprocess.run(
+        [sys.executable, "-m", "termirial", "check", "recurrence", "--n", "1..1000", "--p", "0..999"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "makes 501500000 kernel calls, over the cap of 20000000" in proc.stderr
+
+
+@pytest.mark.parametrize("identity", sorted(CHECK_ARGS))
+def test_check_projects_its_kernel_calls(identity, capsys, monkeypatch):
+    import termirial.cli
+    import termirial.core
+    import termirial.oracle
+
+    monkeypatch.setattr(termirial.cli, "MAX_SWEEP_CALLS", 0)
+    _, _, err = run_cli(capsys, "check", identity, *CHECK_ARGS[identity])
+    projected = int(err.split(" makes ")[1].split()[0])
+    monkeypatch.undo()
+
+    calls = 0
+
+    def counted(fn, steps=lambda *args: 1):
+        def wrapper(*args):
+            nonlocal calls
+            calls += steps(*args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(termirial.core, "termirial_p", counted(termirial.core.termirial_p))
+    monkeypatch.setattr(termirial.core, "termirial", counted(termirial.core.termirial))
+    product = termirial.oracle.termirial_product
+    monkeypatch.setattr(termirial.oracle, "termirial_product", counted(product, lambda n, p: p + 1))
+    assert run_cli(capsys, "check", identity, *CHECK_ARGS[identity])[0] == 0
+    assert calls == projected
+
+
 def test_check_failure_exits_one(capsys, monkeypatch):
     # identities are theorems, so force a failure to exercise exit code 1
     import termirial.core

@@ -1,7 +1,10 @@
 """Loop-nest DSL: parsing, error positions, analysis, and the simulator."""
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termirial.budget import BudgetExceededError
@@ -78,6 +81,13 @@ def test_parse_minimal_program():
     assert prog.depth == 1
 
 
+def test_overlong_integer_literal_is_a_positioned_syntax_error():
+    with pytest.raises(LoopSyntaxError) as caught:
+        parse("n = " + "9" * 5000 + "\nfor i = 1 to n")
+    assert (caught.value.line, caught.value.column) == (1, 5)
+    assert "5000 digits" in caught.value.message
+
+
 def test_parse_tolerates_whitespace_case_and_comments():
     messy = "  N = 7  # the bound\n\nFOR i = 1 TO N\n\tfor j=1 to i # inner\n"
     assert parse(messy) == parse("N = 7\nfor i = 1 to N\nfor j = 1 to i")
@@ -99,6 +109,14 @@ def test_malformed_input_reports_kind_and_position(source, error, line, column):
 
 def test_render_is_canonical():
     assert render(parse("N=9\nFOR x = 1 TO N")) == "N = 9\nfor x = 1 to N\n"
+
+
+def test_deep_nest_round_trip():
+    source = "n = 2\nfor v0 = 1 to n\n" + "".join(f"for v{d} = 1 to v{d - 1}\n" for d in range(1, 20000))
+    prog = parse(source)
+    assert prog.depth == 20000
+    assert render(prog) == source
+    assert parse(render(prog)) == prog
 
 
 def test_render_round_trip():
@@ -176,6 +194,18 @@ def test_simulate_matches_analyze():
             assert simulate(prog, n) == analyze(prog, n=n).exact_count, (depth, n)
 
 
+def body_entries(depth: int, n: int) -> int:
+    """Every index tuple of the chain nest, enumerated; each one is a body entry."""
+    tuples = itertools.product(range(1, n + 1), repeat=depth)
+    return sum(1 for t in tuples if all(outer >= inner for outer, inner in zip(t, t[1:])))
+
+
+@settings(deadline=None)  # the oracle walks up to 12**5 candidate tuples per example
+@given(st.integers(1, 5), st.integers(0, 12))
+def test_simulate_counts_every_index_tuple(depth, n):
+    assert simulate(chain_program(depth), n) == body_entries(depth, n)
+
+
 def test_simulate_four_loops_of_hundred():
     assert simulate(parse(FOUR_LOOPS), 100) == 4421275
 
@@ -188,6 +218,15 @@ def test_simulate_edge_bounds():
 
 def test_simulate_has_no_depth_limit():
     assert simulate(chain_program(3000), 1) == 1
+
+
+def test_simulate_budget_is_the_exact_entry_count():
+    for depth in range(1, 6):
+        for n in (1, 7, 20):
+            entries = math.comb(n + depth - 1, depth)
+            assert simulate(chain_program(depth), n, budget=entries) == entries
+            with pytest.raises(BudgetExceededError):
+                simulate(chain_program(depth), n, budget=entries - 1)
 
 
 def test_simulate_budget_guard():
