@@ -26,9 +26,9 @@ EXIT_BUDGET = 3
 DEFAULT_MAX_ORDER = 10**4
 MAX_SWEEP_TUPLES = 10**6
 MAX_SWEEP_VALUE = 10**6
-# Work cap of a check sweep, in kernel calls; a running-product step counts as
-# one.  The largest sweep the tuple cap admits at a fixed cost per tuple,
-# split2 over 10**6 tuples, makes 1.3 * 10**7 of them.
+# Work cap of a check sweep, in kernel calls; a running-product step and an
+# order-row step count as one each.  The largest sweep the tuple cap admits at
+# a fixed cost per tuple, split2 over 10**6 tuples, makes 1.1 * 10**7 of them.
 MAX_SWEEP_CALLS = 2 * 10**7
 
 
@@ -94,30 +94,40 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------- check
+#
+# A per-tuple check returns its verdict and the two sides it compared; the
+# sweep turns the sides into text only for the lines it prints.  A list on
+# the right is a sum of terms.
+
+Sides = tuple[bool, int, int | str | list[int]]
 
 
-def _check_pascal(n: int, p: int) -> tuple[bool, str]:
+def _detail(ok: bool, lhs: int, rhs: int | str | list[int]) -> str:
+    rhs_text = " + ".join(map(str, rhs)) if isinstance(rhs, list) else rhs
+    return f"{lhs} {'=' if ok else '!='} {rhs_text}"
+
+
+def _check_pascal(n: int, p: int) -> Sides:
     lhs, rhs = core.pascal_check(n, p)
-    return lhs == rhs, f"{lhs} {'=' if lhs == rhs else '!='} {rhs}"
+    return lhs == rhs, lhs, rhs
 
 
-def _check_newton(n: int, m: int, p: int) -> tuple[bool, str]:
+def _check_newton(n: int, m: int, p: int) -> Sides:
     terms = core.convolution_terms(n, m, p)
     whole = core.termirial_p(n + m, p)
-    ok = whole == sum(terms)
-    return ok, f"{whole} {'=' if ok else '!='} {' + '.join(str(t) for t in terms)}"
+    return whole == sum(terms), whole, terms
 
 
-def _check_split1(n: int, m: int) -> tuple[bool, str]:
+def _check_split1(n: int, m: int) -> Sides:
     whole = core.termirial(n + m)
     parts = [core.termirial(n), n * m, core.termirial(m)]
     ok = whole == sum(parts)
     # the p = 1 convolution carries the same three terms, outer ones swapped
     ok = ok and core.convolution_terms(n, m, 1) == parts[::-1]
-    return ok, f"{whole} {'=' if ok else '!='} {' + '.join(str(t) for t in parts)}"
+    return ok, whole, parts
 
 
-def _check_split2(n: int, m: int) -> tuple[bool, str]:
+def _check_split2(n: int, m: int) -> Sides:
     whole = core.termirial_p(n + m, 2)
     parts = [
         core.termirial_p(n, 2),
@@ -128,28 +138,27 @@ def _check_split2(n: int, m: int) -> tuple[bool, str]:
     ok = whole == sum(parts)
     conv = core.convolution_terms(n, m, 2)
     ok = ok and conv == [parts[3], parts[1], parts[2], parts[0]]
-    return ok, f"{whole} {'=' if ok else '!='} {' + '.join(str(t) for t in parts)}"
+    return ok, whole, parts
 
 
-def _check_recurrence(n: int, p: int) -> tuple[bool, str]:
+def _check_recurrence(n: int, p: int) -> Sides:
     whole = core.termirial_p(n, p)
     total = sum(core.termirial_p(k, p - 1) for k in range(1, n + 1))
-    ok = whole == total
-    return ok, f"{whole} {'=' if ok else '!='} sum of {n} order-{p - 1} values"
+    return whole == total, whole, f"sum of {n} order-{p - 1} values"
 
 
-def _check_closedform(n: int, p: int) -> tuple[bool, str]:
+def _check_closedform(n: int, p: int) -> Sides:
     a = core.termirial_p(n, p)
     b = oracle.termirial_product(n, p)
-    return a == b, f"{a} {'=' if a == b else '!='} C({n + p}, {p + 1})"
+    return a == b, a, f"C({n + p}, {p + 1})"
 
 
 _IDENTITIES = {
     # name: (variables, per-tuple check, default ranges, kernel calls per tuple)
     "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: 3),
-    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}, lambda n, m, p: 2 * p + 5),
-    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 9),
-    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 13),
+    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}, lambda n, m, p: 2 * p + 3),
+    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 7),
+    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 11),
     "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}, lambda n, p: n + 1),
     "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}, lambda n, p: p + 2),
 }
@@ -192,12 +201,12 @@ def cmd_check(args) -> int:
     checks: list[dict] = []
     failures = 0
     for assigned in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges.values())):
-        ok, detail = check_fn(*assigned)
+        ok, lhs, rhs = check_fn(*assigned)
         if not ok:
             failures += 1
         if show_each or not ok:
             label = " ".join(f"{v}={x}" for v, x in zip(variables, assigned))
-            lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {detail}")
+            lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {_detail(ok, lhs, rhs)}")
             checks.append({"name": f"{args.identity} {label}", "pass": ok})
 
     range_text = " ".join(f"{v}={lo}..{hi}" for v, (lo, hi) in ranges.items())

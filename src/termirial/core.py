@@ -5,8 +5,10 @@ up to n: order 1 is the triangular number n*(n+1)/2, order 2 the
 tetrahedral number, and so on (the (p+1)-simplicial polytopic numbers).
 Order 0 is n itself and order -1 is the constant 1.  Everything here is
 plain Python int arithmetic, so results are exact at any size, and every
-function is pure.  Every value comes from one kernel, the stdlib's exact
-math.comb; the independent cross-check lives in `oracle`.
+function is pure.  Single values come from the stdlib's exact math.comb.
+The convolution terms need whole rows termirial_p(n, -1..p), so they walk
+each row by its exact ratio instead of making one binomial per entry; the
+independent cross-check lives in `oracle`.
 """
 
 from __future__ import annotations
@@ -66,13 +68,28 @@ def pascal_check(n: int, p: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+def _order_row(n: int, p: int) -> list[int]:
+    """termirial_p(n, i) for i = -1..p: 1, n, C(n+1, 2), ..., C(n+p, p+1).
+
+    Each entry is the previous one times (n+i), divided by (i+1); the
+    division is exact because the partial value is a binomial.
+    """
+    row = [1]
+    for i in range(p + 1):
+        row.append(row[-1] * (n + i) // (i + 1))
+    return row
+
+
 def convolution_terms(n: int, m: int, p: int) -> list[int]:
     """The p+2 products termirial_p(n, i) * termirial_p(m, p-i-1), i = -1..p.
 
     The order is split across the two arguments the way the binomial
     theorem splits an exponent; the terms sum to termirial_p(n+m, p).
     At p = 1 the terms read [termirial(m), n*m, termirial(n)] and at
-    p = 2 they are the four-way split of the tetrahedral number.
+    p = 2 they are the four-way split of the tetrahedral number.  Both
+    factors come from one order row each, the m row read backwards.
     """
     _check_order(p)
-    return [termirial_p(n, i) * termirial_p(m, p - i - 1) for i in range(-1, p + 1)]
+    _check_count("n", n)
+    _check_count("m", m)
+    return [a * b for a, b in zip(_order_row(n, p), reversed(_order_row(m, p)))]

@@ -11,8 +11,10 @@ argument, never global state.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .budget import DEFAULT_STEP_BUDGET, check_budget
 
@@ -64,6 +66,13 @@ def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     return total
 
 
+def _combinations(n: int, p: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """The p-subsets of {1..n}, lazily, once both enumeration guards pass."""
+    check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
+    check_budget(math.comb(n, p), budget, f"subsets({n}, {p})")
+    return combinations(range(1, n + 1), p)
+
+
 def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int, ...]]:
     """All p-element subsets of {1..n} in lexicographic order.
 
@@ -72,9 +81,7 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     """
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
-    check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
-    check_budget(math.comb(n, p), budget, f"subsets({n}, {p})")
-    return list(combinations(range(1, n + 1), p))
+    return list(_combinations(n, p, budget))
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,12 @@ def decompose_by_leading(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> D
     For p = 2 the counts read n-1, n-2, ..., 1 (a triangular cascade);
     for p = 3 they are the triangular numbers in descending order, so
     each binomial coefficient decomposes into lower-order termirials.
+    Every subset is enumerated literally, but streamed: lexicographic order
+    keeps each leading element's subsets contiguous, so they are counted
+    group by group and never held in a list.
     """
     if not 1 <= p <= n:
         raise ValueError(f"decompose_by_leading needs 1 <= p <= n, got ({n}, {p})")
-    tally: dict[int, int] = {}
-    for subset in subsets(n, p, budget=budget):
-        leading = subset[0]
-        tally[leading] = tally.get(leading, 0) + 1
-    return Decomposition(n=n, p=p, groups=tuple(sorted(tally.items())))
+    listing = groupby(_combinations(n, p, budget), key=itemgetter(0))
+    groups = tuple((leading, sum(1 for _ in group)) for leading, group in listing)
+    return Decomposition(n=n, p=p, groups=groups)

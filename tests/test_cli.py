@@ -199,6 +199,7 @@ def test_check_projects_its_kernel_calls(identity, capsys, monkeypatch):
 
     monkeypatch.setattr(termirial.core, "termirial_p", counted(termirial.core.termirial_p))
     monkeypatch.setattr(termirial.core, "termirial", counted(termirial.core.termirial))
+    monkeypatch.setattr(termirial.core, "_order_row", counted(termirial.core._order_row, lambda n, p: p + 1))
     product = termirial.oracle.termirial_product
     monkeypatch.setattr(termirial.oracle, "termirial_product", counted(product, lambda n, p: p + 1))
     assert run_cli(capsys, "check", identity, *CHECK_ARGS[identity])[0] == 0

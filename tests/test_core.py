@@ -2,7 +2,9 @@
 
 The kernel is math.comb, so expected values come from routes that do not
 use it: hand-checked constants, Pascal's triangle built by addition, the
-oracle's running product, and literal summation loops inline.
+oracle's running product, and literal summation loops inline.  The
+convolution terms are built from exact ratio rows instead, so math.comb,
+through termirial_p, is an independent check on them.
 """
 
 import itertools
@@ -167,6 +169,16 @@ def test_convolution_sums_to_whole():
                 assert sum(convolution_terms(n, m, p)) == termirial_p(n + m, p), (n, m, p)
 
 
+def test_convolution_at_order_one_thousand():
+    assert sum(convolution_terms(909, 1010, 1000)) == termirial_p(1919, 1000)
+
+
+@pytest.mark.parametrize("n, m, p", [(-1, 0, -1), (0, -1, -1), (-1, 3, 4), (3, -1, 4), (2, 2, -2), (-1, -1, -2)])
+def test_convolution_rejects_bad_arguments(n, m, p):
+    with pytest.raises(ValueError):
+        convolution_terms(n, m, p)
+
+
 def test_split_identity_order_one():
     for n in range(1, 51):
         for m in range(1, 51):
@@ -205,6 +217,14 @@ def test_pascal_rule_property(n, p):
 @given(COUNTS, COUNTS, ORDERS)
 def test_convolution_property(n, m, p):
     assert sum(convolution_terms(n, m, p)) == termirial_p(n + m, p)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(-1, 80))
+def test_convolution_terms_are_the_factor_products(n, m, p):
+    terms = convolution_terms(n, m, p)
+    assert len(terms) == p + 2
+    for i in range(-1, p + 1):
+        assert terms[i + 1] == termirial_p(n, i) * termirial_p(m, p - i - 1), i
 
 
 @given(COUNTS, st.integers(0, 60))

@@ -3,9 +3,12 @@ and their guards."""
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from termirial import oracle
 from termirial.budget import BudgetExceededError
@@ -171,3 +174,17 @@ def test_decompose_domain():
         decompose_by_leading(5, 0)
     with pytest.raises(ValueError):
         decompose_by_leading(3, 4)
+
+
+def test_decompose_guards():
+    with pytest.raises(BudgetExceededError):
+        decompose_by_leading(21, 2)
+    with pytest.raises(BudgetExceededError):
+        decompose_by_leading(20, 10, budget=100)
+
+
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_decompose_counts_the_listed_leading_elements(case):
+    n, p = case
+    tally = Counter(subset[0] for subset in subsets(n, p))
+    assert decompose_by_leading(n, p).groups == tuple(sorted(tally.items()))
