@@ -1,6 +1,6 @@
-"""Work guards shared by the brute-force and figure-building code paths."""
+"""Work guards and the record base shared by the oracle, loop-nest and figure code."""
 
-from __future__ import annotations
+from collections import namedtuple
 
 DEFAULT_STEP_BUDGET = 10**8
 DEFAULT_CELL_BUDGET = 10**7
@@ -19,3 +19,16 @@ class BudgetExceededError(Exception):
 def check_budget(projected: int, budget: int, what: str) -> None:
     if projected > budget:
         raise BudgetExceededError(what, projected, budget)
+
+
+def record(name: str, fields: str) -> type:
+    """A namedtuple base for a record class, which subclasses it with __slots__ = ().
+
+    As with a frozen dataclass, a record equals only a record of its own class
+    with equal fields, never a plain tuple, and its fields are read-only.
+    """
+    base = namedtuple(name, fields)
+    base.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    base.__ne__ = object.__ne__
+    base.__hash__ = tuple.__hash__
+    return base

@@ -5,17 +5,12 @@ Exit codes: 0 success or all checks pass, 1 an identity check failed
 parse error, 3 a work guard tripped.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
-import json
 import re
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from . import core, fractal, loopnest, oracle
+from . import core
 from .budget import DEFAULT_CELL_BUDGET, DEFAULT_STEP_BUDGET, BudgetExceededError
 
 EXIT_OK = 0
@@ -44,6 +39,7 @@ def _format_int(value: int, pretty: bool) -> str:
 
 def _emit(args, command: str, inputs: dict, result: dict, checks: list[dict], lines: list[str]) -> None:
     if args.json:
+        import json
         envelope = {"command": command, "inputs": inputs, "result": result, "checks": checks}
         print(json.dumps(envelope, sort_keys=True))
     else:
@@ -82,6 +78,7 @@ def cmd_eval(args) -> int:
     result = {"value": value, "binomial_top": top, "binomial_bottom": bottom}
     checks: list[dict] = []
     if args.oracle:
+        from . import oracle
         observed = oracle.nested_sum(n, p, budget=_resolve_budget(args, DEFAULT_STEP_BUDGET))
         agrees = observed == value
         verdict = "agrees" if agrees else "DISAGREES"
@@ -148,6 +145,7 @@ def _check_recurrence(n: int, p: int) -> Sides:
 
 
 def _check_closedform(n: int, p: int) -> Sides:
+    from . import oracle
     a = core.termirial_p(n, p)
     b = oracle.termirial_product(n, p)
     return a == b, a, f"C({n + p}, {p + 1})"
@@ -162,6 +160,12 @@ _IDENTITIES = {
     "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}, lambda n, p: n + 1),
     "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}, lambda n, p: p + 2),
 }
+
+
+def _sweep_calls(calls_per_tuple, ranges: dict[str, tuple[int, int]], total: int) -> int:
+    # the calls per tuple are multi-affine: their mean over the sweep is their mean over the 2^k range corners
+    corners = itertools.product(*ranges.values())
+    return total * sum(calls_per_tuple(*corner) for corner in corners) // 2 ** len(ranges)
 
 
 def cmd_check(args) -> int:
@@ -189,10 +193,7 @@ def cmd_check(args) -> int:
         total *= hi - lo + 1
     if total > MAX_SWEEP_TUPLES:
         raise UsageError(f"sweep of {total} tuples exceeds the cap of {MAX_SWEEP_TUPLES}")
-    # the calls per tuple are affine in each variable and the variables are
-    # swept independently, so the total is the tuple count times the calls at
-    # the ranges' midpoints
-    calls = int(total * calls_per_tuple(*(Fraction(lo + hi, 2) for lo, hi in ranges.values())))
+    calls = _sweep_calls(calls_per_tuple, ranges, total)
     if calls > MAX_SWEEP_CALLS:
         raise UsageError(f"sweep of {total} tuples makes {calls} kernel calls, over the cap of {MAX_SWEEP_CALLS}")
 
@@ -232,6 +233,7 @@ def cmd_enum(args) -> int:
         raise UsageError("need 1 <= p <= n")
     budget = _resolve_budget(args, DEFAULT_STEP_BUDGET)
 
+    from . import oracle
     decomp = oracle.decompose_by_leading(n, p, budget=budget)
     value = core.binomial(n, p)
     lines = [f"C({n}, {p}) = {_format_int(value, args.pretty)}"]
@@ -261,8 +263,14 @@ def cmd_loops(args) -> int:
     if args.file in (None, "-"):
         source = sys.stdin.read()
     else:
-        source = Path(args.file).read_text(encoding="utf-8")
-    prog = loopnest.parse(source)
+        with open(args.file, encoding="utf-8") as handle:
+            source = handle.read()
+    from . import loopnest
+    try:
+        prog = loopnest.parse(source)
+    except loopnest.LoopNestError as exc:
+        print(f"error ({exc.kind}): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.n is not None and args.n < 0:
         raise UsageError("--n must be >= 0")
 
@@ -316,15 +324,17 @@ def cmd_fractal(args) -> int:
     budget = _resolve_budget(args, DEFAULT_CELL_BUDGET)
 
     lines: list[str] = []
-    result: dict = {"cells": core.termirial_p(n, p), "cell_side": str(Fraction(1, 2**p))}
+    result: dict = {"cells": core.termirial_p(n, p), "cell_side": f"1/{2**p}" if p else "1"}
     checks: list[dict] = []
 
+    from . import fractal
     if not args.report_only:
         fig = fractal.build(n, p, budget=budget)
         text = fractal.render(fig, args.format)
         result.update({"width": fig.width, "height": fig.height})
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
             result["out"] = args.out
         else:
             lines.append(text)
@@ -446,9 +456,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'termirial {args.command} --help' for usage", file=sys.stderr)
-        return EXIT_USAGE
-    except loopnest.LoopNestError as exc:
-        print(f"error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

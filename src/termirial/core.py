@@ -11,8 +11,6 @@ each row by its exact ratio instead of making one binomial per entry; the
 independent cross-check lives in `oracle`.
 """
 
-from __future__ import annotations
-
 import math
 
 MIN_ORDER = -1

@@ -11,14 +11,11 @@ orders is 4*(n+p)/(p+1), which falls to 4 as the order grows; its base-2
 log is the dimension estimate that tends to 2.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .budget import DEFAULT_CELL_BUDGET, check_budget
+from .budget import DEFAULT_CELL_BUDGET, check_budget, record
 from .core import termirial_p
 
 # Building takes C(n+p, p) row entries, (p+1)/n times the cell count, so
@@ -29,18 +26,15 @@ SVG_CELL_PX = 10
 SVG_FILL = "#808080"
 
 
-@dataclass(frozen=True)
-class FractalFigure:
+class FractalFigure(record("FractalFigure", "n p cell_side rows")):
     """Order-p figure for n on a 2^p-per-unit grid, as row lengths.
 
-    rows[y] is the number of grey cells in row y, counted from the
-    bottom; every row starts at column 0.
+    cell_side is the Fraction 1/2^p of the base square side.  rows[y] is
+    the number of grey cells in row y, counted from the bottom; every row
+    starts at column 0.
     """
 
-    n: int
-    p: int
-    cell_side: Fraction  # in units of the base square side
-    rows: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def width(self) -> int:
@@ -73,21 +67,17 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
     return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), rows=rows)
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(record("SurfaceReport", "n p ratio dimension_estimate measured")):
     """Grey-surface ratio between orders p-1 and p, and its log2 reading.
 
-    ratio is exactly 4*(n+p)/(p+1): the order-(p-1) figure keeps cells of
-    twice the side, so the ratio is the cell-count ratio times the 4x
-    area refinement.  measured is True when both figures fit the cell
-    budget and the ratio was cross-checked against actual builds.
+    ratio is the Fraction 4*(n+p)/(p+1): the order-(p-1) figure keeps cells
+    of twice the side, so the ratio is the cell-count ratio times the 4x
+    area refinement.  dimension_estimate is its float log2.  measured is
+    True when both figures fit the cell budget and the ratio was
+    cross-checked against actual builds.
     """
 
-    n: int
-    p: int
-    ratio: Fraction
-    dimension_estimate: float
-    measured: bool
+    __slots__ = ()
 
 
 def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> SurfaceReport:
@@ -121,7 +111,8 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
     """
     if fmt == "ascii":
-        return "\n".join("#" * length + "." * (fig.width - length) for length in reversed(fig.rows))
+        width = fig.width
+        return "\n".join("#" * length + "." * (width - length) for length in reversed(fig.rows))
     if fmt == "svg":
         return _render_svg(fig)
     raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
@@ -138,10 +129,11 @@ def _render_svg(fig: FractalFigure) -> str:
     for y, length in enumerate(fig.rows):
         for x in range(length):
             columns[x].append(y)
+    top = fig.height - 1
     for x, ys in enumerate(columns):
         px = x * SVG_CELL_PX
         for y in ys:
-            py = (fig.height - 1 - y) * SVG_CELL_PX
+            py = (top - y) * SVG_CELL_PX
             lines.append(
                 f'  <rect x="{px}" y="{py}" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" '
                 f'fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'

@@ -19,12 +19,9 @@ starts a comment.  The assignment line is optional; without it the
 analysis stays symbolic in the parameter.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 
-from .budget import DEFAULT_STEP_BUDGET, check_budget
+from .budget import DEFAULT_STEP_BUDGET, check_budget, record
 from .core import termirial_p
 
 KEYWORDS = ("for", "to")
@@ -58,28 +55,25 @@ class DuplicateIndexError(LoopNestError):
     kind = "duplicate-index"
 
 
-@dataclass(frozen=True)
-class Loop:
-    index: str
-    bound: str
+class Loop(record("Loop", "index bound")):
+    """One `for index = 1 to bound` line, both names as written."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LoopNestProgram:
-    param_name: str
-    param_value: int | None
-    loops: tuple[Loop, ...]
+class LoopNestProgram(record("LoopNestProgram", "param_name param_value loops")):
+    """A parsed nest: the parameter, its value (None when unassigned) and the Loops."""
+
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
         return len(self.loops)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | "eq"
-    text: str
-    column: int
+class _Token(record("_Token", "kind text column")):
+    # kind is "ident", "int" or "eq"; column is 1-based
+    __slots__ = ()
 
 
 _TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)")
@@ -235,16 +229,14 @@ def render(prog: LoopNestProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Iteration count of a chain nest: exact, closed-form, and asymptotic."""
+class AnalysisResult(record("AnalysisResult", "depth order param_name param_value exact_count theta_exponent")):
+    """Iteration count of a chain nest: exact, closed-form, and asymptotic.
 
-    depth: int
-    order: int  # depth - 1, the termirial order of the count
-    param_name: str
-    param_value: int | None
-    exact_count: int | None
-    theta_exponent: int
+    order is depth - 1, the termirial order of the count; param_value and
+    exact_count are None when the analysis is symbolic.
+    """
+
+    __slots__ = ()
 
     def termirial_text(self) -> str:
         base = self.param_name if self.param_value is None else str(self.param_value)

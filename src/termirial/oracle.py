@@ -8,15 +8,12 @@ raise BudgetExceededError instead of hanging; the budget is a per-call
 argument, never global state.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .budget import DEFAULT_STEP_BUDGET, check_budget
+from .budget import DEFAULT_STEP_BUDGET, check_budget, record
 
 MAX_ENUM_N = 20
 
@@ -84,8 +81,7 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     return list(_combinations(n, p, budget))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(record("Decomposition", "n p groups")):
     """p-subsets of {1..n} grouped by smallest element.
 
     groups holds (leading element, count) pairs in ascending leading
@@ -93,9 +89,7 @@ class Decomposition:
     s leaves a (p-1)-subset of the n-s larger values.
     """
 
-    n: int
-    p: int
-    groups: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def counts(self) -> list[int]:

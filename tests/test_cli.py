@@ -2,11 +2,16 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from termirial import cli
 from termirial.cli import main
 
 FOUR_LOOPS = """\
@@ -173,7 +178,24 @@ def test_check_refuses_sweeps_over_the_call_cap():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "makes 501500000 kernel calls, over the cap of 20000000" in proc.stderr
+    assert proc.stderr == (
+        "error: sweep of 1000000 tuples makes 501500000 kernel calls, over the cap of 20000000\n"
+        "run 'termirial check --help' for usage\n"
+    )
+
+
+@pytest.mark.parametrize("identity", sorted(CHECK_ARGS))
+@given(data=st.data())
+def test_sweep_projection_matches_the_midpoint_product(identity, data):
+    # the integer corner sum must equal the exact rational tuple count times the calls at the midpoints
+    variables, _, _, calls_per_tuple = cli._IDENTITIES[identity]
+    ranges = {}
+    for var in variables:
+        lo = data.draw(st.integers(-1 if var == "p" else 1, 10**6), label=f"{var} start")
+        ranges[var] = (lo, data.draw(st.integers(lo, lo + 10**4), label=f"{var} stop"))
+    total = math.prod(hi - lo + 1 for lo, hi in ranges.values())
+    midpoint_calls = int(total * calls_per_tuple(*(Fraction(lo + hi, 2) for lo, hi in ranges.values())))
+    assert cli._sweep_calls(calls_per_tuple, ranges, total) == midpoint_calls
 
 
 @pytest.mark.parametrize("identity", sorted(CHECK_ARGS))
@@ -337,6 +359,11 @@ def test_loops_simulate_needs_a_bound(capsys, monkeypatch):
 def test_loops_missing_file(capsys):
     code, _, err = run_cli(capsys, "loops", "/no/such/file.loop")
     assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: '/no/such/file.loop'\n"
+
+
+def test_loops_on_a_directory(capsys, tmp_path):
+    assert run_cli(capsys, "loops", str(tmp_path)) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_fractal_ascii_figure(capsys):
@@ -367,6 +394,13 @@ def test_fractal_svg_to_file(tmp_path, capsys):
     assert target.read_text().count("<rect ") == 20
 
 
+def test_fractal_out_into_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "figure.txt"
+    code, out, err = run_cli(capsys, "fractal", "4", "2", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 def test_fractal_json_includes_figure(capsys):
     code, out, _ = run_cli(capsys, "fractal", "2", "0", "--json")
     envelope = json.loads(out)
@@ -374,6 +408,7 @@ def test_fractal_json_includes_figure(capsys):
     assert envelope["result"]["cells"] == 2
     assert envelope["result"]["figure"] == "##"
     assert envelope["result"]["cell_side"] == "1"
+    assert json.loads(run_cli(capsys, "fractal", "3", "3", "--json")[1])["result"]["cell_side"] == "1/8"
 
 
 def test_fractal_exit_codes(capsys):
