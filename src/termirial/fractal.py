@@ -109,10 +109,13 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
 
     Output is deterministic: '#' for grey and '.' for empty in ASCII, top
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
+    ASCII joins one string per distinct row length, not per width, since an
+    order-0 figure is one row of any width; each SVG column is one join.
     """
     if fmt == "ascii":
         width = fig.width
-        return "\n".join("#" * length + "." * (width - length) for length in reversed(fig.rows))
+        table = {length: "#" * length + "." * (width - length) for length in set(fig.rows)}
+        return "\n".join(map(table.__getitem__, reversed(fig.rows)))
     if fmt == "svg":
         return _render_svg(fig)
     raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
@@ -125,18 +128,15 @@ def _render_svg(fig: FractalFigure) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">'
     ]
-    columns: list[list[int]] = [[] for _ in range(fig.width)]
-    for y, length in enumerate(fig.rows):
-        for x in range(length):
-            columns[x].append(y)
-    top = fig.height - 1
-    for x, ys in enumerate(columns):
-        px = x * SVG_CELL_PX
-        for y in ys:
-            py = (top - y) * SVG_CELL_PX
-            lines.append(
-                f'  <rect x="{px}" y="{py}" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" '
-                f'fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
-            )
+    # Column x lists its cells' pixel y, bottom row first: sorted (x, y) order.
+    columns: list[list[str]] = [[] for _ in range(fig.width)]
+    for length, py in zip(fig.rows, map(str, range(height - SVG_CELL_PX, -1, -SVG_CELL_PX))):
+        for column in columns[:length]:
+            column.append(py)
+    tail = f'" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
+    for x, pys in enumerate(columns):
+        if pys:
+            head = f'  <rect x="{x * SVG_CELL_PX}" y="'
+            lines.append(head + f"{tail}\n{head}".join(pys) + tail)
     lines.append("</svg>")
     return "\n".join(lines)

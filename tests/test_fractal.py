@@ -6,6 +6,7 @@ renderers that read only that set.
 """
 
 import math
+import tracemalloc
 from functools import cache
 from fractions import Fraction
 
@@ -62,7 +63,10 @@ def cells_of(fig) -> set[tuple[int, int]]:
     return {(x, y) for y, length in enumerate(fig.rows) for x in range(length)}
 
 
-ORACLE_SHAPES = [(n, p) for n in range(1, 11) for p in range(0, 9)] + [(1, 50)]
+# Past n = 10 the x pixels take three digits; (44, 1) and (70, 1) are the
+# benchmark's 990-cell and 2,485-cell SVG shapes.
+ORACLE_SHAPES = [(n, p) for n in range(1, 11) for p in range(0, 9)]
+ORACLE_SHAPES += [(1, 50), (11, 1), (44, 1), (70, 1), (12, 3), (20, 2)]
 
 
 @pytest.mark.parametrize("n, p", ORACLE_SHAPES)
@@ -183,6 +187,20 @@ def test_report_domain():
 
 def test_render_ascii_row():
     assert render(build(2, 0)) == "##"
+
+
+def test_render_a_single_long_row():
+    # A row table sized by width would hold about n^2 / 2 characters here.
+    fig = build(20_000, 0)
+    tracemalloc.start()
+    try:
+        text = render(fig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "#" * 20_000
+    assert peak < 10 * len(text)
+    assert render(build(2_000, 0), "svg") == oracle_svg(oracle_cells(2_000, 0))
 
 
 def test_render_ascii_staircase():
