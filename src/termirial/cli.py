@@ -260,6 +260,8 @@ def cmd_enum(args) -> int:
 
 
 def cmd_loops(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be >= 0")
     if args.file in (None, "-"):
         source = sys.stdin.read()
     else:
@@ -271,8 +273,6 @@ def cmd_loops(args) -> int:
     except loopnest.LoopNestError as exc:
         print(f"error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n is not None and args.n < 0:
-        raise UsageError("--n must be >= 0")
 
     res = loopnest.analyze(prog, n=args.n)
     lines = [
@@ -376,15 +376,12 @@ _NEG_VALUE_RE = re.compile(r"-\d+(\.\.-?\d+)?")
 
 def _merge_negative_ranges(argv: list[str]) -> list[str]:
     # argparse reads "-1..7" as an option, so fold it into "--p=-1..7"
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] in _RANGE_FLAGS and i + 1 < len(argv) and _NEG_VALUE_RE.fullmatch(argv[i + 1]):
-            merged.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+    merged: list[str] = []
+    for arg in argv:
+        if merged and merged[-1] in _RANGE_FLAGS and _NEG_VALUE_RE.fullmatch(arg):
+            merged[-1] += "=" + arg
         else:
-            merged.append(argv[i])
-            i += 1
+            merged.append(arg)
     return merged
 
 
@@ -392,12 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit one JSON object instead of plain text")
     shared.add_argument("--pretty", action="store_true", help="print large numbers with digit groups: 4 421 275")
-    shared.add_argument(
-        "--budget",
-        type=int,
-        metavar="N",
-        help=f"work guard override (defaults: {DEFAULT_STEP_BUDGET} steps, {DEFAULT_CELL_BUDGET} cells)",
-    )
+    budget_help = f"work guard override (defaults: {DEFAULT_STEP_BUDGET} steps, {DEFAULT_CELL_BUDGET} cells)"
+    shared.add_argument("--budget", type=int, metavar="N", help=budget_help)
     shared.add_argument(
         "--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="N", help="largest accepted termirial order"
     )

@@ -212,12 +212,7 @@ def parse(source: str) -> LoopNestProgram:
 
 
 def _looks_like_assign(tokens: list[_Token]) -> bool:
-    return (
-        len(tokens) >= 2
-        and tokens[0].kind == "ident"
-        and not _is_keyword(tokens[0])
-        and tokens[1].kind == "eq"
-    )
+    return len(tokens) >= 2 and tokens[0].kind == "ident" and not _is_keyword(tokens[0]) and tokens[1].kind == "eq"
 
 
 def render(prog: LoopNestProgram) -> str:
@@ -272,27 +267,16 @@ def analyze(prog: LoopNestProgram, n: int | None = None) -> AnalysisResult:
 
 
 def simulate(prog: LoopNestProgram, n: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
-    """Enumerate the nest's outer index tuples and count innermost-body entries.
+    """Count innermost-body entries by enumerating the nest's index tuples.
 
     Independent of the closed form apart from the budget pre-check, so it
-    serves as the oracle for analyze().  Every index tuple of the outer
-    depth-2 loops is enumerated from an explicit stack of (levels, bound)
-    pairs, so nest depth is not limited by the interpreter's recursion
-    limit.  Under index j the innermost loop runs 1..j, j entries, so the
-    last two loops add up as sum(range(1, bound + 1)) in one call.  A
-    bound of 0 is an empty loop and contributes nothing.
+    serves as the oracle for analyze().  Under index j of loop d - 1 the
+    innermost loop runs j times, so the count is the oracle's iterated sum
+    with d - 1 sigma levels, which adds each such j one at a time at any
+    depth.  A bound of 0 is an empty loop and contributes nothing.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_budget(termirial_p(n, prog.depth - 1), budget, f"simulate depth {prog.depth} with n = {n}")
-    if prog.depth == 1 or n == 0:
-        return n
-    entries = 0
-    stack = [(prog.depth - 1, n)]
-    while stack:
-        levels, bound = stack.pop()
-        if levels == 1:
-            entries += sum(range(1, bound + 1))
-        else:
-            stack.extend((levels - 1, k) for k in range(1, bound + 1))
-    return entries
+    from .oracle import _iterated_sum  # on first use: parsing and analysis never load the oracle
+    return _iterated_sum(n, prog.depth - 1)

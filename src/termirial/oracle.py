@@ -10,12 +10,15 @@ argument, never global state.
 
 import math
 from collections.abc import Iterator
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby, islice, repeat
 from operator import itemgetter
 
 from .budget import DEFAULT_STEP_BUDGET, check_budget, record
 
 MAX_ENUM_N = 20
+# sigma levels summed by one pipeline of C iterators, each nesting a few C calls
+_C_LEVELS = 32
+_CHUNK = 4096  # bounds per stack entry above that pipeline
 
 
 def termirial_product(n: int, p: int) -> int:
@@ -38,28 +41,47 @@ def termirial_product(n: int, p: int) -> int:
 def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Iterated sum with exactly p sigma levels; p = 0 is n itself.
 
-    Runs the summation literally, one sigma level per stack entry, so it
+    Adds every innermost index one at a time (see _iterated_sum), so it
     shares no code with the closed forms and no depth limit applies.  The
-    projected work is C(n+p+1, p+1) = C(n+p, p) + C(n+p, p+1), which
-    bounds both the sigma entries and the level-1 additions, and must
-    stay within budget.
+    projected work C(n+p+1, p+1) bounds both the ranges made for the sigma
+    levels and the level-1 additions, and must stay within budget.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if p < 0:
         raise ValueError(f"nested_sum needs p >= 0 sigma levels, got {p}")
     check_budget(math.comb(n + p + 1, p + 1), budget, f"nested_sum({n}, {p})")
+    return _iterated_sum(n, p)
 
+
+def _ranges(bounds):
+    """The indices b, ..., 1 under each bound b, counted down so that no b + 1 is made."""
+    return map(range, bounds, repeat(0), repeat(-1))
+
+
+def _iterated_sum(n: int, p: int) -> int:
+    """Every innermost index of p sigma levels over 1..n, added one at a time.
+
+    The innermost min(p, _C_LEVELS) levels are one lazy pipeline of C
+    iterators; outer levels sit on an explicit stack, _CHUNK bounds per
+    entry, so no depth of p nests deeper in C or in Python.
+    """
     if p == 0:
         return n
     total = 0
-    stack = [(p, n)]
+    stack = [(p, iter((n,)))]
     while stack:
-        levels, bound = stack.pop()
-        if levels == 1:
-            total += sum(range(1, bound + 1))
-        else:
-            stack.extend((levels - 1, k) for k in range(1, bound + 1))
+        levels, bounds = stack.pop()
+        if levels <= _C_LEVELS:
+            for _ in range(levels - 1):
+                bounds = chain.from_iterable(_ranges(bounds))
+            total += sum(map(sum, _ranges(bounds)))
+            continue
+        chunk = list(islice(bounds, _CHUNK))
+        if len(chunk) == _CHUNK:
+            stack.append((levels, bounds))
+        if chunk:
+            stack.append((levels - 1, chain.from_iterable(_ranges(chunk))))
     return total
 
 

@@ -356,6 +356,13 @@ def test_loops_simulate_needs_a_bound(capsys, monkeypatch):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("source", ["", "for i = 2 to n"])
+def test_loops_rejects_negative_n_before_reading(source, capsys, monkeypatch):
+    code, out, err = run_cli_stdin(capsys, monkeypatch, source, "loops", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --n must be >= 0\nrun 'termirial loops --help' for usage\n"
+
+
 def test_loops_missing_file(capsys):
     code, _, err = run_cli(capsys, "loops", "/no/such/file.loop")
     assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
+from termirial.oracle import nested_sum
 from termirial.loopnest import (
     KEYWORDS,
     DuplicateIndexError,
@@ -218,6 +219,17 @@ def test_simulate_edge_bounds():
 
 def test_simulate_has_no_depth_limit():
     assert simulate(chain_program(3000), 1) == 1
+
+
+def test_simulate_deep_nest_with_two_values_per_loop():
+    # C(3001, 3000): every loop of the 3,000 runs to 2, so thousands of levels sit on the stack
+    assert simulate(chain_program(3000), 2) == 3001
+
+
+def test_simulate_is_the_iterated_sum_one_level_down():
+    for depth in range(1, 8):
+        for n in range(0, 16):
+            assert simulate(chain_program(depth), n) == nested_sum(n, depth - 1), (depth, n)
 
 
 def test_simulate_budget_is_the_exact_entry_count():

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termirial import oracle
@@ -62,6 +62,34 @@ def test_nested_sum_matches_closed_form():
 
 def test_nested_sum_has_no_depth_limit():
     assert nested_sum(1, 5000) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_nested_sum_across_the_pipeline_hand_off(n):
+    # the innermost _C_LEVELS levels are one C pipeline; deeper ones go on the stack
+    for p in range(oracle._C_LEVELS - 2, oracle._C_LEVELS + 4):
+        assert nested_sum(n, p) == math.comb(n + p, p + 1), (n, p)
+
+
+@pytest.mark.parametrize("levels, chunk", [(1, 1), (2, 3), (3, 2)])
+def test_iterated_sum_with_small_pipeline_and_chunks(levels, chunk, monkeypatch):
+    # shrunk constants send small sums through the stack and refill its chunks
+    monkeypatch.setattr(oracle, "_C_LEVELS", levels)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for n in range(0, 9):
+        for p in range(0, 8):
+            assert oracle._iterated_sum(n, p) == math.comb(n + p, p + 1), (n, p)
+
+
+@settings(deadline=None)  # (40, 6) adds about 8 * 10**6 indices
+@given(st.integers(0, 40), st.integers(0, 6))
+def test_nested_sum_is_the_termirial(n, p):
+    assert nested_sum(n, p) == math.comb(n + p, p + 1)
+
+
+def test_nested_sum_far_past_the_pipeline_depth():
+    assert nested_sum(1, 200_000) == 1
+    assert nested_sum(0, 200_000) == 0
 
 
 def test_nested_sum_budget_guard():

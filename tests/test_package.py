@@ -38,6 +38,7 @@ def bare() -> set[str]:
         ("import termirial", SUBMODULES),
         ("import termirial.core", {"dataclasses", "fractions", "termirial.fractal", "termirial.loopnest", "termirial.oracle"}),
         ("from termirial import subsets", {"termirial.core", "termirial.fractal", "termirial.loopnest"}),
+        ("from termirial import loopnest", {"termirial.oracle", "termirial.fractal"}),
         ("from termirial import cli; cli.main(['eval', '5', '2'])", CLI_UNUSED),
         ("from termirial import cli; cli.main(['check', 'pascal'])", CLI_UNUSED),
     ],
