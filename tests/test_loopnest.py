@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
-from termirial.oracle import nested_sum
 from termirial.loopnest import (
     KEYWORDS,
     DuplicateIndexError,
@@ -24,6 +23,7 @@ from termirial.loopnest import (
     render,
     simulate,
 )
+from termirial.oracle import nested_sum
 
 FOUR_LOOPS = """\
 n = 100
@@ -219,10 +219,7 @@ def test_simulate_edge_bounds():
 
 def test_simulate_has_no_depth_limit():
     assert simulate(chain_program(3000), 1) == 1
-
-
-def test_simulate_deep_nest_with_two_values_per_loop():
-    # C(3001, 3000): every loop of the 3,000 runs to 2, so thousands of levels sit on the stack
+    # C(3001, 3000): with two values per loop, thousands of stack levels hold a growing chunk
     assert simulate(chain_program(3000), 2) == 3001
 
 

@@ -61,7 +61,10 @@ def test_nested_sum_matches_closed_form():
 
 
 def test_nested_sum_has_no_depth_limit():
+    # far past the C pipeline's depth: uncapped, it would overflow the C stack
     assert nested_sum(1, 5000) == 1
+    assert nested_sum(1, 200_000) == 1
+    assert nested_sum(0, 200_000) == 0
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -85,11 +88,6 @@ def test_iterated_sum_with_small_pipeline_and_chunks(levels, chunk, monkeypatch)
 @given(st.integers(0, 40), st.integers(0, 6))
 def test_nested_sum_is_the_termirial(n, p):
     assert nested_sum(n, p) == math.comb(n + p, p + 1)
-
-
-def test_nested_sum_far_past_the_pipeline_depth():
-    assert nested_sum(1, 200_000) == 1
-    assert nested_sum(0, 200_000) == 0
 
 
 def test_nested_sum_budget_guard():
