@@ -64,7 +64,7 @@ def _iterated_sum(n: int, p: int) -> int:
 
     The innermost min(p, _C_LEVELS) levels are one lazy pipeline of C
     iterators; outer levels sit on an explicit stack, _CHUNK bounds per
-    entry, so no depth of p nests deeper in C or in Python.
+    entry, so C calls nest at most _C_LEVELS levels and nothing recurses.
     """
     if p == 0:
         return n
