@@ -58,9 +58,31 @@ def _resolve_budget(args, default: int) -> int:
     return default if args.budget is None else args.budget
 
 
+def _exact_output(handler):
+    """The handler, run with the interpreter's int-to-text digit cap (4,300 by default) lifted.
+
+    The cap bounds the cost of parsing untrusted digits.  Handlers only print
+    digits: argparse reads argv before them, and cmd_loops parses its source
+    before it calls _report_loops.  The cap is put back however they end.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters older than the cap
+        return handler
+
+    def run(*args) -> int:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return handler(*args)
+        finally:
+            sys.set_int_max_str_digits(cap)
+
+    return run
+
+
 # ---------------------------------------------------------------- eval
 
 
+@_exact_output
 def cmd_eval(args) -> int:
     n, p = args.n, args.p
     if n < 0:
@@ -153,7 +175,7 @@ def _check_closedform(n: int, p: int) -> Sides:
 
 _IDENTITIES = {
     # name: (variables, per-tuple check, default ranges, kernel calls per tuple)
-    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: 3),
+    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: 2),
     "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}, lambda n, m, p: 2 * p + 3),
     "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 7),
     "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 11),
@@ -168,6 +190,7 @@ def _sweep_calls(calls_per_tuple, ranges: dict[str, tuple[int, int]], total: int
     return total * sum(calls_per_tuple(*corner) for corner in corners) // 2 ** len(ranges)
 
 
+@_exact_output
 def cmd_check(args) -> int:
     variables, check_fn, defaults, calls_per_tuple = _IDENTITIES[args.identity]
     for var in ("n", "m", "p"):
@@ -225,6 +248,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------- enum
 
 
+@_exact_output
 def cmd_enum(args) -> int:
     n, p = args.n, args.p
     if n < 0:
@@ -273,7 +297,12 @@ def cmd_loops(args) -> int:
     except loopnest.LoopNestError as exc:
         print(f"error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _report_loops(args, prog)
 
+
+@_exact_output
+def _report_loops(args, prog) -> int:
+    from . import loopnest
     res = loopnest.analyze(prog, n=args.n)
     lines = [
         f"depth: {res.depth}",
@@ -311,6 +340,7 @@ def cmd_loops(args) -> int:
 # ---------------------------------------------------------------- fractal
 
 
+@_exact_output
 def cmd_fractal(args) -> int:
     n, p = args.n, args.p
     if n < 1:

@@ -59,9 +59,16 @@ def pascal_check(n: int, p: int) -> tuple[int, int]:
     lhs = termirial_p(n+1, p) + termirial_p(n, p+1)
     rhs = termirial_p(n+1, p+1)
 
-    Returned as a pair rather than a bool so failures stay diagnosable.
+    Two binomials are made: termirial_p(n+1, p) = C(n+p+1, p+1) and the
+    right side C(n+p+2, p+2).  The other left term C(n+p+1, p+2) is the
+    first one times n/(p+2), the exact ratio of neighbours in one row of
+    Pascal's triangle, so the check still compares values computed at
+    different arguments.  Returned as a pair rather than a bool so
+    failures stay diagnosable.
     """
-    lhs = termirial_p(n + 1, p) + termirial_p(n, p + 1)
+    near = termirial_p(n + 1, p)
+    _check_count("n", n)
+    lhs = near + near * n // (p + 2)
     rhs = termirial_p(n + 1, p + 1)
     return lhs, rhs
 

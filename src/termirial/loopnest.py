@@ -77,6 +77,13 @@ class _Token(record("_Token", "kind text column")):
 
 
 _TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)")
+# A whole well-formed `for` line, read as the tokens would read it: the
+# keywords in any case, neither name a keyword, the start exactly 1, and
+# a blank wherever two names or a keyword and a name would otherwise fuse.
+_NAME = r"(?!(?i:for|to)(?![A-Za-z0-9_]))[A-Za-z][A-Za-z0-9_]*"
+_FOR_LINE_RE = re.compile(
+    rf"[ \t]*(?i:for)[ \t]+(?P<index>{_NAME})[ \t]*=[ \t]*1(?![0-9])[ \t]*(?i:to)[ \t]+(?P<bound>{_NAME})[ \t]*"
+)
 
 
 def _tokenize(code: str, lineno: int) -> list[_Token]:
@@ -155,8 +162,11 @@ class _LineParser:
 def parse(source: str) -> LoopNestProgram:
     """Parse DSL text into a LoopNestProgram.
 
-    Raises LoopSyntaxError, UnknownIdentifierError, NonChainBoundError, or
-    DuplicateIndexError, each carrying the offending line and column.
+    A well-formed `for` line is read by one regular-expression match;
+    every other line goes through the tokenizer and _LineParser, which
+    raise the syntax errors.  Raises LoopSyntaxError,
+    UnknownIdentifierError, NonChainBoundError, or DuplicateIndexError,
+    each carrying the offending line and column.
     """
     param_name: str | None = None
     param_value: int | None = None
@@ -166,44 +176,51 @@ def parse(source: str) -> LoopNestProgram:
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         code = raw.split("#", 1)[0]
-        tokens = _tokenize(code, lineno)
-        if not tokens:
-            continue
-        line = _LineParser(tokens, lineno, len(code))
+        match = _FOR_LINE_RE.fullmatch(code)
+        if match:
+            index, bound = match["index"], match["bound"]
+            index_column, bound_column = match.start("index") + 1, match.start("bound") + 1
+        else:
+            tokens = _tokenize(code, lineno)
+            if not tokens:
+                continue
+            line = _LineParser(tokens, lineno, len(code))
 
-        if not loops and param_name is None and _looks_like_assign(tokens):
-            name = line.ident("a parameter name")
+            if not loops and param_name is None and _looks_like_assign(tokens):
+                name = line.ident("a parameter name")
+                line.literal_eq()
+                param_value = line.integer()
+                line.end()
+                param_name = name.text
+                continue
+
+            line.keyword("for")
+            index_token = line.ident("a loop index")
             line.literal_eq()
-            param_value = line.integer()
+            line.literal_one()
+            line.keyword("to")
+            bound_token = line.ident("a bound identifier")
             line.end()
-            param_name = name.text
-            continue
-
-        line.keyword("for")
-        index = line.ident("a loop index")
-        line.literal_eq()
-        line.literal_one()
-        line.keyword("to")
-        bound = line.ident("a bound identifier")
-        line.end()
+            index, index_column = index_token.text, index_token.column
+            bound, bound_column = bound_token.text, bound_token.column
 
         first = not loops
         if first and param_name is None:
-            param_name = bound.text
-        if index.text == param_name or index.text in index_names:
-            raise DuplicateIndexError(f"index {index.text!r} is already in use", lineno, index.column)
+            param_name = bound
+        if index == param_name or index in index_names:
+            raise DuplicateIndexError(f"index {index!r} is already in use", lineno, index_column)
 
         enclosing = param_name if first else loops[-1].index
-        if bound.text != enclosing:
-            known = bound.text == param_name or bound.text in index_names or bound.text == index.text
+        if bound != enclosing:
+            known = bound == param_name or bound in index_names or bound == index
             if known:
                 raise NonChainBoundError(
-                    f"bound {bound.text!r} breaks the chain; expected {enclosing!r}", lineno, bound.column
+                    f"bound {bound!r} breaks the chain; expected {enclosing!r}", lineno, bound_column
                 )
-            raise UnknownIdentifierError(f"unknown name {bound.text!r}", lineno, bound.column)
+            raise UnknownIdentifierError(f"unknown name {bound!r}", lineno, bound_column)
 
-        loops.append(Loop(index=index.text, bound=bound.text))
-        index_names.add(index.text)
+        loops.append(Loop(index=index, bound=bound))
+        index_names.add(index)
 
     if not loops:
         raise LoopSyntaxError("expected at least one loop", max(lineno, 1), 1)

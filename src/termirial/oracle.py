@@ -11,7 +11,7 @@ argument, never global state.
 import math
 from collections.abc import Iterator
 from itertools import chain, combinations, groupby, islice, repeat
-from operator import itemgetter
+from operator import countOf, itemgetter
 
 from .budget import DEFAULT_STEP_BUDGET, check_budget, record
 
@@ -129,11 +129,12 @@ def decompose_by_leading(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> D
     for p = 3 they are the triangular numbers in descending order, so
     each binomial coefficient decomposes into lower-order termirials.
     Every subset is enumerated literally, but streamed: lexicographic order
-    keeps each leading element's subsets contiguous, so they are counted
-    group by group and never held in a list.
+    keeps each leading element's subsets contiguous, so only their leading
+    elements are read, and each run of equal ones is counted in C by
+    operator.countOf; no subset is held in a list.
     """
     if not 1 <= p <= n:
         raise ValueError(f"decompose_by_leading needs 1 <= p <= n, got ({n}, {p})")
-    listing = groupby(_combinations(n, p, budget), key=itemgetter(0))
-    groups = tuple((leading, sum(1 for _ in group)) for leading, group in listing)
+    listing = groupby(map(itemgetter(0), _combinations(n, p, budget)))
+    groups = tuple((leading, countOf(run, leading)) for leading, run in listing)
     return Decomposition(n=n, p=p, groups=groups)

@@ -110,6 +110,77 @@ def test_eval_oracle_budget_exceeded(capsys):
     assert "budget" in err
 
 
+needs_int_text_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no int-to-text digit cap"
+)
+
+
+def exact_text(value: int) -> str:
+    """str(value) past the interpreter's digit cap, lifted for this conversion alone."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def run_past_the_cap(capsys, *argv):
+    """run_cli, checking that the handler put the interpreter's digit cap back."""
+    cap = sys.get_int_max_str_digits()
+    result = run_cli(capsys, *argv)
+    assert sys.get_int_max_str_digits() == cap
+    return result
+
+
+@needs_int_text_cap
+def test_eval_prints_values_past_the_digit_cap(capsys):
+    code, out, err = run_past_the_cap(capsys, "eval", "100000", "3000")
+    assert (code, err) == (0, "")
+    assert out == exact_text(math.comb(103000, 3001)) + "\nbinomial form: C(103000, 3001)\n"
+    assert len(out.splitlines()[0]) == 5891  # past the default cap of 4,300
+
+
+@needs_int_text_cap
+def test_eval_json_past_the_digit_cap(capsys):
+    code, out, _ = run_past_the_cap(capsys, "eval", "100000", "3000", "--json")
+    assert code == 0
+    value = out.split('"value": ')[1].split("}")[0]
+    assert value == exact_text(math.comb(103000, 3001))
+
+
+@needs_int_text_cap
+def test_check_pascal_past_the_digit_cap(capsys):
+    code, out, _ = run_past_the_cap(capsys, "check", "pascal", "--n", "100000", "--p", "3000")
+    side = exact_text(math.comb(103002, 3002))
+    assert code == 0
+    assert out == f"ok pascal n=100000 p=3000: {side} = {side}\npascal: n=100000..100000 p=3000..3000: 1 checks, all pass\n"
+
+
+@needs_int_text_cap
+def test_fractal_cell_side_past_the_digit_cap(capsys):
+    code, out, _ = run_past_the_cap(capsys, "fractal", "1", "15000", "--max-order", "20000", "--json")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["cells"], result["figure"]) == (1, "#")
+    assert result["cell_side"] == "1/" + exact_text(2**15000)
+
+
+@needs_int_text_cap
+def test_loops_still_rejects_literals_past_the_digit_cap(capsys, monkeypatch):
+    source = "n = " + "9" * 5000 + "\nfor i = 1 to n\n"
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run_cli_stdin(capsys, monkeypatch, source, "loops")
+    assert sys.get_int_max_str_digits() == cap
+    assert (code, out) == (2, "")
+    assert err == "error (syntax): line 1, column 5: integer literal of 5000 digits is too long\n"
+
+
+@needs_int_text_cap
+def test_digit_cap_is_restored_when_a_handler_raises(capsys):
+    assert run_past_the_cap(capsys, "eval", "50", "8", "--oracle")[0] == 3
+
+
 CHECK_ARGS = {
     "pascal": ["--n", "1..10", "--p", "-1..5"],
     "newton": ["--n", "1..6", "--m", "1..6", "--p", "-1..4"],

@@ -138,6 +138,18 @@ def test_pascal_rule_sweep():
             assert lhs == rhs, (n, p)
 
 
+def test_pascal_rule_sides_are_the_running_product():
+    # both sides are termirial_p(n+1, p+1), here from the oracle's product, which shares no code with core
+    for n, p in [*itertools.product(range(31), range(-1, 13)), (10**5, 3000)]:
+        assert pascal_check(n, p) == (termirial_product(n + 1, p + 1),) * 2, (n, p)
+
+
+@pytest.mark.parametrize("n, p", [(-1, 0), (-1, -1), (-2, 3), (0, -2)])
+def test_pascal_check_rejects_bad_arguments(n, p):
+    with pytest.raises(ValueError):
+        pascal_check(n, p)
+
+
 def test_convolution_example():
     terms = convolution_terms(2, 2, 2)
     assert terms == [4, 6, 6, 4]

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termirial import loopnest
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
 from termirial.loopnest import (
@@ -150,6 +153,89 @@ def test_parse_raises_only_loop_nest_errors(source):
     except LoopNestError:
         return
     assert prog.depth >= 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["for i = 1 to n", "FOR i=1TO n", "  fOr\tI_2 =1to  n  ", "for fort = 1 to tom", "for i = 1 to\tn\t"],
+)
+def test_for_line_regex_accepts_well_formed_lines(line):
+    match = loopnest._FOR_LINE_RE.fullmatch(line)
+    tokens = loopnest._tokenize(line, 1)
+    assert match and (match["index"], match["bound"]) == (tokens[1].text, tokens[-1].text)
+    assert (match.start("index") + 1, match.start("bound") + 1) == (tokens[1].column, tokens[-1].column)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "fori = 1 to n",
+        "for i = 01 to n",
+        "for i = 10 to n",
+        "for i = 1 ton",
+        "for to = 1 to n",
+        "for i = 1 to FOR",
+        "for é = 1 to n",
+        "for i = 1 to nñ",
+        "for i = 1 to n extra",
+        "for i = 1 to n\x0b",
+        "n = 5",
+    ],
+)
+def test_for_line_regex_rejects_every_other_line(line):
+    assert loopnest._FOR_LINE_RE.fullmatch(line) is None
+
+
+def _case_variants(word):
+    return st.sampled_from([word, word.upper(), word.capitalize(), word[:-1] + word[-1].upper()])
+
+
+# Blanks are mostly present, so most drawn lines are well formed; the rest fuse or miss.
+GAPS = st.sampled_from([" "] * 6 + ["\t", "  ", " \t", ""])
+TAILS = st.sampled_from([""] * 10 + ["#", "# for i = 1 to n", "\t# x", "$", " é"])
+NAME_POOL = ["n", "i", "j", "k", "l", "I", "x_1", "fort"] * 3 + ["é", "ſ", "K", "to", "For"]
+WORDS = st.sampled_from(["for", "FOR", "to", "To", "=", "1", "01", "1to", "9", "$", "é", "#", "# x = 1", "n", "i"])
+
+
+@st.composite
+def for_line(draw, index, bound):
+    one = draw(st.sampled_from(["1"] * 10 + ["01", "10"]))
+    parts = [draw(_case_variants("for")), index, "=", one, draw(_case_variants("to")), bound]
+    return draw(GAPS) + "".join(part + draw(GAPS) for part in parts) + draw(TAILS)
+
+
+@st.composite
+def loose_line(draw):
+    return draw(GAPS) + "".join(word + draw(GAPS) for word in draw(st.lists(WORDS, max_size=8)))
+
+
+@st.composite
+def nest_sources(draw):
+    """A chain of `for` lines in drawn spellings, maybe assigned, with stray lines mixed in."""
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=2, max_size=5, unique=draw(st.integers(0, 3)) > 0))
+    bounds = [draw(st.sampled_from(NAME_POOL)) if draw(st.integers(0, 7)) == 0 else name for name in names]
+    lines = [draw(for_line(index, bound)) for bound, index in zip(bounds, names[1:])]
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(["5"] * 6 + ["05", "", "x"]))
+        lines.insert(0, draw(GAPS) + names[0] + draw(GAPS) + "=" + draw(GAPS) + value + draw(TAILS))
+    if draw(st.integers(0, 2)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(loose_line()))
+    return "\n".join(lines)
+
+
+def parse_outcome(source):
+    try:
+        return parse(source)
+    except LoopNestError as exc:
+        return type(exc), exc.message, exc.line, exc.column
+
+
+@settings(max_examples=300)
+@given(nest_sources())
+def test_line_regex_agrees_with_the_token_path(source):
+    expected = parse_outcome(source)
+    with mock.patch.object(loopnest, "_FOR_LINE_RE", re.compile(r"(?!)")):
+        assert parse_outcome(source) == expected
 
 
 def test_analyze_four_loop_program():

@@ -1,0 +1,120 @@
+"""Paired benchmark runs of two checkouts, summarised into one JSON file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 --seconds 35 --first-seed 101 --label 9
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout, on the
+same seed, with the same workload and run length; the side that runs first
+alternates from pair to pair, and pair i uses seed first-seed + i.  The file
+written, BENCH_<label>.json at the root of this repository, holds for each
+workload and end-to-end metric both sides' median and quartiles, the number
+of pairs the change won (ties count for neither side), the change's median
+over the parent's, and every run's value; and next to them the Python
+version, CPU count, CPU model and the commit of each checkout.  "gain" is
+true when the change won at least nine pairs in ten and its median beats the
+parent's by more than the distance between the parent's quartiles.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One `perfbench/run.py --trace 0` run: its environment line and its summary line."""
+    argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py")]
+    argv += [f"--workload={workload}", f"--seed={seed}", f"--seconds={seconds}", "--trace=0"]
+    lines = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+    return {"environment": json.loads(lines[0].removeprefix("# ")), "summary": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' spread, the pairs the change won, and whether the rule for claiming a gain holds."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    parent_q1, parent_q3 = quartiles(parent)
+    change_q1, change_q3 = quartiles(change)
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    return {
+        "better": better,
+        "parent": {"median": parent_median, "q1": parent_q1, "q3": parent_q3, "runs": parent},
+        "change": {"median": change_median, "q1": change_q1, "q3": change_q3, "runs": change},
+        "wins": wins,
+        "pairs": len(parent),
+        "change_over_parent": change_median / parent_median if parent_median else None,
+        "gain": wins * 10 >= 9 * len(parent) and sign * (change_median - parent_median) > parent_q3 - parent_q1,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=35)
+    parser.add_argument("--workload", default="all", help="a perfbench workload, or all")
+    parser.add_argument("--first-seed", type=int, default=101)
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        declared = json.load(handle)
+    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    workloads = [w["name"] for w in declared["workloads"]] if args.workload == "all" else [args.workload]
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+            metrics = runs[side][-1]["summary"]["metrics"]
+            print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                  + "  ".join(f"{name}={m['value']:.6g}" for name, m in metrics.items()), flush=True)
+
+    def values(side: str, workload: str, metric: str) -> list[float]:
+        key = metric if len(workloads) == 1 else f"{workload}.{metric}"
+        return [run["summary"]["metrics"][key]["value"] for run in runs[side]]
+
+    environment = runs["change"][0]["environment"]
+    report = {
+        "python": environment["python"],
+        "nproc": environment["nproc"],
+        "cpu_model": environment["cpu_model"],
+        "commits": {side: runs[side][0]["environment"]["commit"] for side in sides},
+        "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "seconds": args.seconds,
+        "failed": {side: [run["summary"]["failed"] for run in runs[side]] for side in sides},
+        "attempted": {side: [run["summary"]["attempted"] for run in runs[side]] for side in sides},
+        "workloads": {
+            workload: {
+                metric: compare(values("parent", workload, metric), values("change", workload, metric), direction)
+                for metric, direction in better.items()
+            }
+            for workload in workloads
+        },
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
