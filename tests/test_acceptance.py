@@ -145,10 +145,10 @@ def test_fractal_counts_ratio_and_dimension_limit():
 
 def test_malformed_corpus_rejected_with_positions(capsys, monkeypatch):
     assert len(MALFORMED) >= 10
-    for source, error, line, column in MALFORMED:
+    for source, error, line, column, message in MALFORMED:
         with pytest.raises(error) as caught:
             parse(source)
-        assert (caught.value.line, caught.value.column) == (line, column), source
+        assert (caught.value.line, caught.value.column, caught.value.message) == (line, column, message), source
         monkeypatch.setattr(sys, "stdin", io.StringIO(source))
         code = main(["loops", "-"])
         err = capsys.readouterr().err

@@ -36,30 +36,40 @@ for k = 1 to j
 for l = 1 to k
 """
 
-# (source, error class, line, column)
+# (source, error class, line, column, message)
 MALFORMED = [
-    ("", LoopSyntaxError, 1, 1),
-    ("n = 100\n", LoopSyntaxError, 1, 1),
-    ("# just a comment\n", LoopSyntaxError, 1, 1),
-    ("for", LoopSyntaxError, 1, 4),
-    ("for i", LoopSyntaxError, 1, 6),
-    ("for i = 2 to n", LoopSyntaxError, 1, 9),
-    ("for i = 1 n", LoopSyntaxError, 1, 11),
-    ("for i = 1 to 100", LoopSyntaxError, 1, 14),
-    ("for i = 1 to n extra", LoopSyntaxError, 1, 16),
-    ("for $ = 1 to n", LoopSyntaxError, 1, 5),
-    ("n == 100\nfor i = 1 to n", LoopSyntaxError, 1, 4),
-    ("n = 100 for i = 1 to n", LoopSyntaxError, 1, 9),
-    ("n = 100\nx = 5\nfor i = 1 to n", LoopSyntaxError, 2, 1),
-    ("for i = 1 to n\nfor j = 1 to x", UnknownIdentifierError, 2, 14),
-    ("m = 3\nfor i = 1 to n", UnknownIdentifierError, 2, 14),
-    ("for i = 1 to n\nfor i = 1 to i", DuplicateIndexError, 2, 5),
-    ("for i = 1 to n\nfor n = 1 to i", DuplicateIndexError, 2, 5),
-    ("for i = 1 to i", DuplicateIndexError, 1, 5),
-    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to n", NonChainBoundError, 3, 14),
-    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to i", NonChainBoundError, 3, 14),
-    ("for i = 1 to n\nfor j = 1 to j", NonChainBoundError, 2, 14),
-    ("n = 5\nfor i = 1 to i", NonChainBoundError, 2, 14),
+    ("", LoopSyntaxError, 1, 1, "expected at least one loop"),
+    ("n = 100\n", LoopSyntaxError, 1, 1, "expected at least one loop"),
+    ("# just a comment\n", LoopSyntaxError, 1, 1, "expected at least one loop"),
+    ("for", LoopSyntaxError, 1, 4, "expected a loop index, found end of line"),
+    ("for i", LoopSyntaxError, 1, 6, "expected '=', found end of line"),
+    ("for i =", LoopSyntaxError, 1, 8, "expected '1', found end of line"),
+    ("for i = 1", LoopSyntaxError, 1, 10, "expected 'to', found end of line"),
+    ("for i = 1 to", LoopSyntaxError, 1, 13, "expected a bound identifier, found end of line"),
+    ("for i = 2 to n", LoopSyntaxError, 1, 9, "expected '1' (loops always run from 1), found '2'"),
+    ("for i = 1 n", LoopSyntaxError, 1, 11, "expected 'to', found 'n'"),
+    ("for i = 1 to 100", LoopSyntaxError, 1, 14, "expected a bound identifier, found '100'"),
+    ("for i = 1 to n extra", LoopSyntaxError, 1, 16, "unexpected 'extra' after end of statement"),
+    ("for $ = 1 to n", LoopSyntaxError, 1, 5, "unexpected character '$'"),
+    ("for to = 1 to n", LoopSyntaxError, 1, 5, "expected a loop index, found 'to'"),
+    ("for i 1 to n", LoopSyntaxError, 1, 7, "expected '=', found '1'"),
+    ("n == 100\nfor i = 1 to n", LoopSyntaxError, 1, 4, "expected an integer, found '='"),
+    ("n =\nfor i = 1 to n", LoopSyntaxError, 1, 4, "expected an integer, found end of line"),
+    ("n = x\nfor i = 1 to n", LoopSyntaxError, 1, 5, "expected an integer, found 'x'"),
+    ("n = 5 6\nfor i = 1 to n", LoopSyntaxError, 1, 7, "unexpected '6' after end of statement"),
+    ("n = 100 for i = 1 to n", LoopSyntaxError, 1, 9, "unexpected 'for' after end of statement"),
+    ("_ = 1\nfor i = 1 to n", LoopSyntaxError, 1, 1, "unexpected character '_'"),
+    ("n = 100\nx = 5\nfor i = 1 to n", LoopSyntaxError, 2, 1, "expected 'for', found 'x'"),
+    ("for i = 1 to n\nn = 5", LoopSyntaxError, 2, 1, "expected 'for', found 'n'"),
+    ("for i = 1 to n\nfor j = 1 to x", UnknownIdentifierError, 2, 14, "unknown name 'x'"),
+    ("m = 3\nfor i = 1 to n", UnknownIdentifierError, 2, 14, "unknown name 'n'"),
+    ("for i = 1 to n\nfor i = 1 to i", DuplicateIndexError, 2, 5, "index 'i' is already in use"),
+    ("for i = 1 to n\nfor n = 1 to i", DuplicateIndexError, 2, 5, "index 'n' is already in use"),
+    ("for i = 1 to i", DuplicateIndexError, 1, 5, "index 'i' is already in use"),
+    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to n", NonChainBoundError, 3, 14, "bound 'n' breaks the chain; expected 'j'"),
+    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to i", NonChainBoundError, 3, 14, "bound 'i' breaks the chain; expected 'j'"),
+    ("for i = 1 to n\nfor j = 1 to j", NonChainBoundError, 2, 14, "bound 'j' breaks the chain; expected 'i'"),
+    ("n = 5\nfor i = 1 to i", NonChainBoundError, 2, 14, "bound 'i' breaks the chain; expected 'n'"),
 ]
 
 
@@ -102,12 +112,18 @@ def test_indices_are_case_sensitive():
         parse("for i = 1 to n\nfor j = 1 to I")
 
 
-@pytest.mark.parametrize("source,error,line,column", MALFORMED)
-def test_malformed_input_reports_kind_and_position(source, error, line, column):
+def _malformed_id(row):
+    """The id a row had before it carried its message, so that each case keeps its name."""
+    source, error, line, column, _ = row
+    return f"{source}-{error.__name__}-{line}-{column}"
+
+
+@pytest.mark.parametrize("source,error,line,column,message", MALFORMED, ids=map(_malformed_id, MALFORMED))
+def test_malformed_input_reports_kind_and_position(source, error, line, column, message):
     with pytest.raises(error) as caught:
         parse(source)
     assert isinstance(caught.value, LoopNestError)
-    assert (caught.value.line, caught.value.column) == (line, column)
+    assert (caught.value.line, caught.value.column, caught.value.message) == (line, column, message)
     assert f"line {line}, column {column}" in str(caught.value)
 
 
