@@ -71,102 +71,36 @@ class LoopNestProgram(record("LoopNestProgram", "param_name param_value loops"))
         return len(self.loops)
 
 
-class _Token(record("_Token", "kind text column")):
-    # kind is "ident", "int" or "eq"; column is 1-based
-    __slots__ = ()
-
-
-_TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)")
-# A whole well-formed `for` line, read as the tokens would read it: the
-# keywords in any case, neither name a keyword, the start exactly 1, and
+_TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)|(?P<bad>[^ \t])")
+# A whole well-formed line of each statement, read as the tokens would read
+# it: the keywords in any case, no name a keyword, the start exactly 1, and
 # a blank wherever two names or a keyword and a name would otherwise fuse.
 _NAME = r"(?!(?i:for|to)(?![A-Za-z0-9_]))[A-Za-z][A-Za-z0-9_]*"
 _FOR_LINE_RE = re.compile(
     rf"[ \t]*(?i:for)[ \t]+(?P<index>{_NAME})[ \t]*=[ \t]*1(?![0-9])[ \t]*(?i:to)[ \t]+(?P<bound>{_NAME})[ \t]*"
 )
-
-
-def _tokenize(code: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(code):
-        match = _TOKEN_RE.match(code, pos)
-        if match is None:
-            raise LoopSyntaxError(f"unexpected character {code[pos]!r}", lineno, pos + 1)
-        if match.lastgroup != "ws":
-            tokens.append(_Token(match.lastgroup, match.group(), match.start() + 1))
-        pos = match.end()
-    return tokens
-
-
-def _is_keyword(token: _Token) -> bool:
-    return token.kind == "ident" and token.text.lower() in KEYWORDS
-
-
-class _LineParser:
-    """Pulls expected tokens off one line, reporting precise positions."""
-
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.line_len = line_len
-        self.pos = 0
-
-    def _next(self, expected: str) -> _Token:
-        if self.pos >= len(self.tokens):
-            raise LoopSyntaxError(f"expected {expected}, found end of line", self.lineno, self.line_len + 1)
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def keyword(self, word: str) -> None:
-        token = self._next(f"'{word}'")
-        if not (token.kind == "ident" and token.text.lower() == word):
-            raise LoopSyntaxError(f"expected '{word}', found {token.text!r}", self.lineno, token.column)
-
-    def ident(self, expected: str) -> _Token:
-        token = self._next(expected)
-        if token.kind != "ident" or _is_keyword(token):
-            raise LoopSyntaxError(f"expected {expected}, found {token.text!r}", self.lineno, token.column)
-        return token
-
-    def literal_eq(self) -> None:
-        token = self._next("'='")
-        if token.kind != "eq":
-            raise LoopSyntaxError(f"expected '=', found {token.text!r}", self.lineno, token.column)
-
-    def literal_one(self) -> None:
-        token = self._next("'1'")
-        if token.kind != "int" or token.text != "1":
-            raise LoopSyntaxError(
-                f"expected '1' (loops always run from 1), found {token.text!r}", self.lineno, token.column
-            )
-
-    def integer(self) -> int:
-        token = self._next("an integer")
-        if token.kind != "int":
-            raise LoopSyntaxError(f"expected an integer, found {token.text!r}", self.lineno, token.column)
-        try:
-            return int(token.text)
-        except ValueError:  # longer than the interpreter's integer string conversion limit
-            raise LoopSyntaxError(
-                f"integer literal of {len(token.text)} digits is too long", self.lineno, token.column
-            ) from None
-
-    def end(self) -> None:
-        if self.pos < len(self.tokens):
-            token = self.tokens[self.pos]
-            raise LoopSyntaxError(f"unexpected {token.text!r} after end of statement", self.lineno, token.column)
+_ASSIGN_RE = re.compile(rf"[ \t]*(?P<name>{_NAME})[ \t]*=[ \t]*(?P<value>[0-9]+)[ \t]*")
+# Each statement's tokens in order: what an error says was expected, and
+# the pattern the token's full text must match.
+_FOR_SHAPE = (
+    ("'for'", "(?i:for)"),
+    ("a loop index", _NAME),
+    ("'='", "="),
+    ("'1'", "1"),
+    ("'to'", "(?i:to)"),
+    ("a bound identifier", _NAME),
+)
+_ASSIGN_SHAPE = (("a parameter name", _NAME), ("'='", "="), ("an integer", "[0-9]+"))
 
 
 def parse(source: str) -> LoopNestProgram:
     """Parse DSL text into a LoopNestProgram.
 
-    A well-formed `for` line is read by one regular-expression match;
-    every other line goes through the tokenizer and _LineParser, which
-    raise the syntax errors.  Raises LoopSyntaxError,
-    UnknownIdentifierError, NonChainBoundError, or DuplicateIndexError,
-    each carrying the offending line and column.
+    Each statement's regex accepts its well-formed lines whole, with the
+    names and their columns; _syntax_error names the first fault of any
+    other non-blank line.  Raises LoopSyntaxError, UnknownIdentifierError,
+    NonChainBoundError, or DuplicateIndexError, each carrying the
+    offending line and column.
     """
     param_name: str | None = None
     param_value: int | None = None
@@ -176,48 +110,37 @@ def parse(source: str) -> LoopNestProgram:
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         code = raw.split("#", 1)[0]
+        if not code.strip(" \t"):
+            continue
         match = _FOR_LINE_RE.fullmatch(code)
-        if match:
-            index, bound = match["index"], match["bound"]
-            index_column, bound_column = match.start("index") + 1, match.start("bound") + 1
-        else:
-            tokens = _tokenize(code, lineno)
-            if not tokens:
-                continue
-            line = _LineParser(tokens, lineno, len(code))
+        if match is None:
+            assign_allowed = not loops and param_name is None
+            assign = _ASSIGN_RE.fullmatch(code) if assign_allowed else None
+            if assign is None:
+                raise _syntax_error(code, lineno, assign_allowed)
+            try:
+                param_value = int(assign["value"])
+            except ValueError:  # longer than the interpreter's integer string conversion limit
+                raise LoopSyntaxError(
+                    f"integer literal of {len(assign['value'])} digits is too long", lineno, assign.start("value") + 1
+                ) from None
+            param_name = assign["name"]
+            continue
 
-            if not loops and param_name is None and _looks_like_assign(tokens):
-                name = line.ident("a parameter name")
-                line.literal_eq()
-                param_value = line.integer()
-                line.end()
-                param_name = name.text
-                continue
-
-            line.keyword("for")
-            index_token = line.ident("a loop index")
-            line.literal_eq()
-            line.literal_one()
-            line.keyword("to")
-            bound_token = line.ident("a bound identifier")
-            line.end()
-            index, index_column = index_token.text, index_token.column
-            bound, bound_column = bound_token.text, bound_token.column
-
+        index, bound = match["index"], match["bound"]
         first = not loops
         if first and param_name is None:
             param_name = bound
         if index == param_name or index in index_names:
-            raise DuplicateIndexError(f"index {index!r} is already in use", lineno, index_column)
+            raise DuplicateIndexError(f"index {index!r} is already in use", lineno, match.start("index") + 1)
 
         enclosing = param_name if first else loops[-1].index
         if bound != enclosing:
-            known = bound == param_name or bound in index_names or bound == index
-            if known:
+            if bound == param_name or bound in index_names or bound == index:
                 raise NonChainBoundError(
-                    f"bound {bound!r} breaks the chain; expected {enclosing!r}", lineno, bound_column
+                    f"bound {bound!r} breaks the chain; expected {enclosing!r}", lineno, match.start("bound") + 1
                 )
-            raise UnknownIdentifierError(f"unknown name {bound!r}", lineno, bound_column)
+            raise UnknownIdentifierError(f"unknown name {bound!r}", lineno, match.start("bound") + 1)
 
         loops.append(Loop(index=index, bound=bound))
         index_names.add(index)
@@ -228,8 +151,27 @@ def parse(source: str) -> LoopNestProgram:
     return LoopNestProgram(param_name=param_name, param_value=param_value, loops=tuple(loops))
 
 
-def _looks_like_assign(tokens: list[_Token]) -> bool:
-    return len(tokens) >= 2 and tokens[0].kind == "ident" and not _is_keyword(tokens[0]) and tokens[1].kind == "eq"
+def _syntax_error(code: str, lineno: int, assign_allowed: bool) -> LoopSyntaxError:
+    """The first fault of a non-blank line that no statement's regex accepts.
+
+    A character that starts no token comes first, wherever it stands.  Past
+    that, a line that starts with a name and '=' while an assignment is
+    allowed is read against _ASSIGN_SHAPE, any other against _FOR_SHAPE.
+    """
+    tokens = [token for token in _TOKEN_RE.finditer(code) if token.lastgroup != "ws"]
+    bad = next((token for token in tokens if token.lastgroup == "bad"), None)
+    if bad:
+        return LoopSyntaxError(f"unexpected character {bad[0]!r}", lineno, bad.start() + 1)
+    starts_assign = len(tokens) >= 2 and re.fullmatch(_NAME, tokens[0][0]) and tokens[1][0] == "="
+    shape = _ASSIGN_SHAPE if assign_allowed and starts_assign else _FOR_SHAPE
+    for (expected, pattern), token in zip(shape, tokens):
+        if not re.fullmatch(pattern, token[0]):
+            hint = " (loops always run from 1)" if pattern == "1" else ""
+            return LoopSyntaxError(f"expected {expected}{hint}, found {token[0]!r}", lineno, token.start() + 1)
+    if len(tokens) < len(shape):
+        return LoopSyntaxError(f"expected {shape[len(tokens)][0]}, found end of line", lineno, len(code) + 1)
+    extra = tokens[len(shape)]
+    return LoopSyntaxError(f"unexpected {extra[0]!r} after end of statement", lineno, extra.start() + 1)
 
 
 def render(prog: LoopNestProgram) -> str:

@@ -492,6 +492,15 @@ def test_fractal_json_includes_figure(capsys):
     assert json.loads(run_cli(capsys, "fractal", "3", "3", "--json")[1])["result"]["cell_side"] == "1/8"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="interpreter without an int-to-text digit cap")
+def test_fractal_text_mode_never_formats_the_cell_side(capsys, monkeypatch):
+    # Only --json prints the cell side 1/2^p, 301,030 digits at p = 10^6.  With
+    # the digit cap left in place, formatting it would raise; text mode must not.
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
+    code, out, err = run_cli(capsys, "fractal", "1", "1000000", "--max-order", "2000000")
+    assert (code, out, err) == (0, "#\n", "")
+
+
 def test_fractal_exit_codes(capsys):
     assert run_cli(capsys, "fractal", "0", "1")[0] == 2
     assert run_cli(capsys, "fractal", "4", "-1")[0] == 2

@@ -3,7 +3,6 @@
 import itertools
 import math
 import re
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -171,15 +170,45 @@ def test_parse_raises_only_loop_nest_errors(source):
     assert prog.depth >= 1
 
 
+STATEMENTS = ((loopnest._FOR_LINE_RE, loopnest._FOR_SHAPE), (loopnest._ASSIGN_RE, loopnest._ASSIGN_SHAPE))
+
+
+def statement_match(code):
+    """The match of the statement regex that accepts code, or None.
+
+    An accepted line must read the same as its tokens: one token per entry
+    of the statement's shape, each matching that entry's pattern, and every
+    named group (names, value) starting where a token with its text starts.
+    """
+    for regex, shape in STATEMENTS:
+        match = regex.fullmatch(code)
+        if match:
+            tokens = [token for token in loopnest._TOKEN_RE.finditer(code) if token.lastgroup != "ws"]
+            assert len(tokens) == len(shape)
+            assert all(re.fullmatch(pattern, token[0]) for (_, pattern), token in zip(shape, tokens))
+            groups = {(match.start(name), text) for name, text in match.groupdict().items()}
+            assert groups <= {(token.start(), token[0]) for token in tokens}
+            return match
+    return None
+
+
 @pytest.mark.parametrize(
     "line",
-    ["for i = 1 to n", "FOR i=1TO n", "  fOr\tI_2 =1to  n  ", "for fort = 1 to tom", "for i = 1 to\tn\t"],
+    [
+        "for i = 1 to n",
+        "FOR i=1TO n",
+        "  fOr\tI_2 =1to  n  ",
+        "for fort = 1 to tom",
+        "for i = 1 to\tn\t",
+        "n = 5",
+        "N=7",
+        "  x_1\t=\t05  ",
+        "fort = 100",
+        "To1 = 3\t",
+    ],
 )
 def test_for_line_regex_accepts_well_formed_lines(line):
-    match = loopnest._FOR_LINE_RE.fullmatch(line)
-    tokens = loopnest._tokenize(line, 1)
-    assert match and (match["index"], match["bound"]) == (tokens[1].text, tokens[-1].text)
-    assert (match.start("index") + 1, match.start("bound") + 1) == (tokens[1].column, tokens[-1].column)
+    assert statement_match(line)
 
 
 @pytest.mark.parametrize(
@@ -195,11 +224,21 @@ def test_for_line_regex_accepts_well_formed_lines(line):
         "for i = 1 to nñ",
         "for i = 1 to n extra",
         "for i = 1 to n\x0b",
-        "n = 5",
+        "n = x",
+        "n = 5 6",
+        "n == 5",
+        "to = 5",
+        "n = -1",
+        "n = 5x",
+        "n =",
+        "_ = 1",
+        "n = \uff15",
+        "é = 1",
     ],
 )
 def test_for_line_regex_rejects_every_other_line(line):
-    assert loopnest._FOR_LINE_RE.fullmatch(line) is None
+    assert not any(regex.fullmatch(line) for regex, _ in STATEMENTS)
+    assert isinstance(loopnest._syntax_error(line, 1, True), LoopSyntaxError)
 
 
 def _case_variants(word):
@@ -221,6 +260,12 @@ def for_line(draw, index, bound):
 
 
 @st.composite
+def assign_line(draw, name):
+    value = draw(st.sampled_from(["5"] * 6 + ["05", "", "x"]))
+    return draw(GAPS) + name + draw(GAPS) + "=" + draw(GAPS) + value + draw(TAILS)
+
+
+@st.composite
 def loose_line(draw):
     return draw(GAPS) + "".join(word + draw(GAPS) for word in draw(st.lists(WORDS, max_size=8)))
 
@@ -232,26 +277,28 @@ def nest_sources(draw):
     bounds = [draw(st.sampled_from(NAME_POOL)) if draw(st.integers(0, 7)) == 0 else name for name in names]
     lines = [draw(for_line(index, bound)) for bound, index in zip(bounds, names[1:])]
     if draw(st.booleans()):
-        value = draw(st.sampled_from(["5"] * 6 + ["05", "", "x"]))
-        lines.insert(0, draw(GAPS) + names[0] + draw(GAPS) + "=" + draw(GAPS) + value + draw(TAILS))
+        lines.insert(0, draw(assign_line(names[0])))
     if draw(st.integers(0, 2)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(loose_line()))
     return "\n".join(lines)
 
 
-def parse_outcome(source):
-    try:
-        return parse(source)
-    except LoopNestError as exc:
-        return type(exc), exc.message, exc.line, exc.column
+ANY_LINE = st.one_of(
+    st.tuples(st.sampled_from(NAME_POOL), st.sampled_from(NAME_POOL)).flatmap(lambda names: for_line(*names)),
+    st.sampled_from(NAME_POOL).flatmap(assign_line),
+    loose_line(),
+    nest_sources().flatmap(lambda source: st.sampled_from(source.splitlines() or [""])),
+)
 
 
-@settings(max_examples=300)
-@given(nest_sources())
-def test_line_regex_agrees_with_the_token_path(source):
-    expected = parse_outcome(source)
-    with mock.patch.object(loopnest, "_FOR_LINE_RE", re.compile(r"(?!)")):
-        assert parse_outcome(source) == expected
+@settings(max_examples=500)
+@given(ANY_LINE, st.booleans())
+def test_each_line_is_accepted_whole_or_diagnosed(line, assign_allowed):
+    code = line.split("#", 1)[0]
+    if code.strip(" \t") and statement_match(code) is None:
+        error = loopnest._syntax_error(code, 7, assign_allowed)
+        assert isinstance(error, LoopSyntaxError)
+        assert error.line == 7 and 1 <= error.column <= len(code) + 1
 
 
 def test_analyze_four_loop_program():

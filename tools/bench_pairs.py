@@ -12,6 +12,11 @@ over the parent's, and every run's value; and next to them the Python
 version, CPU count, CPU model and the commit of each checkout.  "gain" is
 true when the change won at least nine pairs in ten and its median beats the
 parent's by more than the distance between the parent's quartiles.
+"regression" is the no-regression verdict, with each metric's `bound` from
+BENCHMARK.json read as a fraction of the parent's median: "worse" when the
+change's median is worse than the parent's by more than that fraction;
+otherwise "unresolved" when the parent's quartile spread is wider than it
+and not every change run beats every parent run; otherwise "no worse".
 """
 
 import argparse
@@ -39,8 +44,20 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides' spread, the pairs the change won, and whether the rule for claiming a gain holds."""
+def regression(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The no-regression verdict, with bound a fraction of the parent's median (see the module docstring)."""
+    parent_median = statistics.median(parent)
+    allowed = bound * abs(parent_median)
+    if sign * (statistics.median(change) - parent_median) < -allowed:
+        return "worse"
+    parent_q1, parent_q3 = quartiles(parent)
+    if parent_q3 - parent_q1 > allowed and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "no worse"
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' spread, the pairs the change won, and the verdicts on a gain and on a regression."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     parent_q1, parent_q3 = quartiles(parent)
@@ -54,6 +71,7 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "pairs": len(parent),
         "change_over_parent": change_median / parent_median if parent_median else None,
         "gain": wins * 10 >= 9 * len(parent) and sign * (change_median - parent_median) > parent_q3 - parent_q1,
+        "regression": regression(parent, change, sign, bound),
     }
 
 
@@ -72,7 +90,7 @@ def main() -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    declared_metrics = {metric["name"]: (metric["better"], metric["bound"]) for metric in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]] if args.workload == "all" else [args.workload]
 
     sides = {"parent": args.parent, "change": args.change}
@@ -102,8 +120,8 @@ def main() -> int:
         "attempted": {side: [run["summary"]["attempted"] for run in runs[side]] for side in sides},
         "workloads": {
             workload: {
-                metric: compare(values("parent", workload, metric), values("change", workload, metric), direction)
-                for metric, direction in better.items()
+                metric: compare(values("parent", workload, metric), values("change", workload, metric), *rule)
+                for metric, rule in declared_metrics.items()
             }
             for workload in workloads
         },
