@@ -71,7 +71,7 @@ class LoopNestProgram(record("LoopNestProgram", "param_name param_value loops"))
         return len(self.loops)
 
 
-_TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)|(?P<bad>[^ \t])")
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<eq>=)|(?P<bad>[^ \t])")
 # A whole well-formed line of each statement, read as the tokens would read
 # it: the keywords in any case, no name a keyword, the start exactly 1, and
 # a blank wherever two names or a keyword and a name would otherwise fuse.
@@ -136,7 +136,8 @@ def parse(source: str) -> LoopNestProgram:
 
         enclosing = param_name if first else loops[-1].index
         if bound != enclosing:
-            if bound == param_name or bound in index_names or bound == index:
+            known = bound == param_name or bound in index_names or bound == index
+            if known:
                 raise NonChainBoundError(
                     f"bound {bound!r} breaks the chain; expected {enclosing!r}", lineno, match.start("bound") + 1
                 )
@@ -158,7 +159,7 @@ def _syntax_error(code: str, lineno: int, assign_allowed: bool) -> LoopSyntaxErr
     that, a line that starts with a name and '=' while an assignment is
     allowed is read against _ASSIGN_SHAPE, any other against _FOR_SHAPE.
     """
-    tokens = [token for token in _TOKEN_RE.finditer(code) if token.lastgroup != "ws"]
+    tokens = list(_TOKEN_RE.finditer(code))  # blanks start no token, so the search steps over them
     bad = next((token for token in tokens if token.lastgroup == "bad"), None)
     if bad:
         return LoopSyntaxError(f"unexpected character {bad[0]!r}", lineno, bad.start() + 1)

@@ -65,8 +65,14 @@ MALFORMED = [
     ("for i = 1 to n\nfor i = 1 to i", DuplicateIndexError, 2, 5, "index 'i' is already in use"),
     ("for i = 1 to n\nfor n = 1 to i", DuplicateIndexError, 2, 5, "index 'n' is already in use"),
     ("for i = 1 to i", DuplicateIndexError, 1, 5, "index 'i' is already in use"),
-    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to n", NonChainBoundError, 3, 14, "bound 'n' breaks the chain; expected 'j'"),
-    ("for i = 1 to n\nfor j = 1 to i\nfor k = 1 to i", NonChainBoundError, 3, 14, "bound 'i' breaks the chain; expected 'j'"),
+    (
+        "for i = 1 to n\nfor j = 1 to i\nfor k = 1 to n",
+        NonChainBoundError, 3, 14, "bound 'n' breaks the chain; expected 'j'",
+    ),
+    (
+        "for i = 1 to n\nfor j = 1 to i\nfor k = 1 to i",
+        NonChainBoundError, 3, 14, "bound 'i' breaks the chain; expected 'j'",
+    ),
     ("for i = 1 to n\nfor j = 1 to j", NonChainBoundError, 2, 14, "bound 'j' breaks the chain; expected 'i'"),
     ("n = 5\nfor i = 1 to i", NonChainBoundError, 2, 14, "bound 'i' breaks the chain; expected 'n'"),
 ]
@@ -183,7 +189,7 @@ def statement_match(code):
     for regex, shape in STATEMENTS:
         match = regex.fullmatch(code)
         if match:
-            tokens = [token for token in loopnest._TOKEN_RE.finditer(code) if token.lastgroup != "ws"]
+            tokens = list(loopnest._TOKEN_RE.finditer(code))
             assert len(tokens) == len(shape)
             assert all(re.fullmatch(pattern, token[0]) for (_, pattern), token in zip(shape, tokens))
             groups = {(match.start(name), text) for name, text in match.groupdict().items()}
