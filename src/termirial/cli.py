@@ -354,9 +354,8 @@ def cmd_fractal(args) -> int:
     budget = _resolve_budget(args, DEFAULT_CELL_BUDGET)
 
     lines: list[str] = []
-    result: dict = {"cells": core.termirial_p(n, p)}
-    if args.json:  # text mode never prints the side, whose decimal form costs time quadratic in p
-        result["cell_side"] = f"1/{2**p}" if p else "1"
+    # text mode never prints these, and the side's decimal form costs time quadratic in p
+    result: dict = {"cells": core.termirial_p(n, p), "cell_side": f"1/{2**p}" if p else "1"} if args.json else {}
     checks: list[dict] = []
 
     from . import fractal

@@ -26,13 +26,8 @@ SVG_CELL_PX = 10
 SVG_FILL = "#808080"
 
 
-class FractalFigure(record("FractalFigure", "n p cell_side rows")):
-    """Order-p figure for n on a 2^p-per-unit grid, as row lengths.
-
-    cell_side is the Fraction 1/2^p of the base square side.  rows[y] is
-    the number of grey cells in row y, counted from the bottom; every row
-    starts at column 0.
-    """
+class FractalFigure(record("FractalFigure", "n p rows")):
+    """Order-p figure for n on a 2^p-per-unit grid: rows[y] grey cells in row y from the bottom, from column 0."""
 
     __slots__ = ()
 
@@ -64,7 +59,7 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
         # From order 1 on, rows(k, q-1) is the first C(k+q-2, q-1) rows of
         # rows(n, q-1), so each band is a prefix of the previous order.
         rows = tuple(chain.from_iterable(rows[: math.comb(k + q - 2, q - 1)] for k in range(1, n + 1)))
-    return FractalFigure(n=n, p=p, cell_side=Fraction(1, 2**p), rows=rows)
+    return FractalFigure(n=n, p=p, rows=rows)
 
 
 class SurfaceReport(record("SurfaceReport", "n p ratio dimension_estimate measured")):
@@ -101,7 +96,11 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
         if measured_ratio != closed:
             raise AssertionError(f"measured ratio {measured_ratio} != closed form {closed} at ({n}, {p})")
         measured = True
-    return SurfaceReport(n=n, p=p, ratio=closed, dimension_estimate=math.log2(closed), measured=measured)
+    try:
+        estimate = math.log2(closed)
+    except OverflowError:  # past float range; the logs of its two ints never are
+        estimate = math.log2(closed.numerator) - math.log2(closed.denominator)
+    return SurfaceReport(n=n, p=p, ratio=closed, dimension_estimate=estimate, measured=measured)
 
 
 def render(fig: FractalFigure, fmt: str = "ascii") -> str:

@@ -21,10 +21,8 @@ analysis stays symbolic in the parameter.
 
 import re
 
-from .budget import DEFAULT_STEP_BUDGET, check_budget, record
+from .budget import DEFAULT_STEP_BUDGET, record
 from .core import termirial_p
-
-KEYWORDS = ("for", "to")
 
 
 class LoopNestError(Exception):
@@ -229,14 +227,11 @@ def analyze(prog: LoopNestProgram, n: int | None = None) -> AnalysisResult:
 def simulate(prog: LoopNestProgram, n: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Count innermost-body entries by enumerating the nest's index tuples.
 
-    Independent of the closed form apart from the budget pre-check, so it
-    serves as the oracle for analyze().  Under index j of loop d - 1 the
-    innermost loop runs j times, so the count is the oracle's iterated sum
-    with d - 1 sigma levels, which adds each such j one at a time at any
-    depth.  A bound of 0 is an empty loop and contributes nothing.
+    Independent of the closed form, so it serves as the oracle for
+    analyze().  Under index j of loop d - 1 the innermost loop runs j
+    times, so the count is the oracle's iterated sum with d - 1 sigma
+    levels, which adds each such j one at a time at any depth and guards
+    the budget.  A bound of 0 is an empty loop and contributes nothing.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    check_budget(termirial_p(n, prog.depth - 1), budget, f"simulate depth {prog.depth} with n = {n}")
     from .oracle import _iterated_sum  # on first use: parsing and analysis never load the oracle
-    return _iterated_sum(n, prog.depth - 1)
+    return _iterated_sum(n, prog.depth - 1, budget, f"simulate depth {prog.depth} with n = {n}")

@@ -19,6 +19,11 @@ MAX_ENUM_N = 20
 # sigma levels summed by one pipeline of C iterators, each nesting a few C calls
 _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
+# _iterated_sum's cost in summed elements per range made and per call.  Over 83
+# calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU AMD EPYC),
+# time per unit then stays within 2.5x, the tiniest calls included.
+_RANGE_COST = 15
+_CALL_COST = 150
 
 
 def termirial_product(n: int, p: int) -> int:
@@ -41,17 +46,12 @@ def termirial_product(n: int, p: int) -> int:
 def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Iterated sum with exactly p sigma levels; p = 0 is n itself.
 
-    Adds every innermost index one at a time (see _iterated_sum), so it
-    shares no code with the closed forms and no depth limit applies.  The
-    projected work C(n+p+1, p+1) bounds both the ranges made for the sigma
-    levels and the level-1 additions, and must stay within budget.
+    Adds every innermost index one at a time, so it shares no code with the
+    closed forms and no depth limit applies; _iterated_sum guards the budget.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if p < 0:
         raise ValueError(f"nested_sum needs p >= 0 sigma levels, got {p}")
-    check_budget(math.comb(n + p + 1, p + 1), budget, f"nested_sum({n}, {p})")
-    return _iterated_sum(n, p)
+    return _iterated_sum(n, p, budget, f"nested_sum({n}, {p})")
 
 
 def _ranges(bounds):
@@ -59,15 +59,21 @@ def _ranges(bounds):
     return map(range, bounds, repeat(0), repeat(-1))
 
 
-def _iterated_sum(n: int, p: int) -> int:
+def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
     """Every innermost index of p sigma levels over 1..n, added one at a time.
 
     The innermost min(p, _C_LEVELS) levels are one lazy pipeline of C
     iterators; outer levels sit on an explicit stack, _CHUNK bounds per
     entry, so C calls nest at most _C_LEVELS levels and nothing recurses.
+    p = 0 does no work.  Else R = C(n+p-1, p-1) ranges sum R*n/p elements, and
+    a call whose _RANGE_COST*R + R*n/p + _CALL_COST passes budget is refused first.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if p == 0:
         return n
+    ranges = math.comb(n + p - 1, p - 1)
+    check_budget(_RANGE_COST * ranges + ranges * n // p + _CALL_COST, budget, what)
     total = 0
     stack = [(p, iter((n,)))]
     while stack:

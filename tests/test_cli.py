@@ -467,6 +467,27 @@ def test_fractal_report_only_large_order(capsys):
     assert "measured: no (closed form only)" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_fractal_report_past_float_range(capsys, json_flag):
+    # the ratio 2 * 10**400 overflows a float; the estimate is read from its two ints
+    code, out, err = run_cli(capsys, "fractal", "9" * 400, "1", "--report-only", *json_flag)
+    assert (code, err) == (0, "")
+    estimate = json.loads(out)["result"]["dimension_estimate"] if json_flag else float(out.splitlines()[1].split(": ")[1])
+    assert math.isclose(estimate, 1 + 400 * math.log2(10))
+
+
+def test_fractal_text_mode_never_counts_cells(capsys, monkeypatch):
+    import termirial.core
+    import termirial.fractal  # bound to the kernel before the patch below
+
+    def closed_form(*args):
+        raise AssertionError("text mode never prints the cell count")
+
+    monkeypatch.setattr(termirial.core, "termirial_p", closed_form)
+    code, out, err = run_cli(capsys, "fractal", "4", "2")
+    assert (code, out.count("#"), err) == (0, 20, "")
+
+
 def test_fractal_svg_to_file(tmp_path, capsys):
     target = tmp_path / "figure.svg"
     code, out, _ = run_cli(capsys, "fractal", "4", "2", "--format", "svg", "--out", str(target))

@@ -91,7 +91,6 @@ def test_row_count_and_cell_count(shape):
 def test_base_order_is_a_row():
     fig = build(4, 0)
     assert fig.rows == (4,)
-    assert fig.cell_side == 1
     assert (fig.width, fig.height) == (4, 1)
 
 
@@ -108,9 +107,7 @@ def test_twenty_grey_cells_at_order_two():
 
 def test_single_column_any_order():
     for p in (0, 1, 5, 12, 50):
-        fig = build(1, p)
-        assert fig.rows == (1,)
-        assert fig.cell_side == Fraction(1, 2**p)
+        assert build(1, p).rows == (1,)
 
 
 def test_cell_count_sweep():
@@ -119,11 +116,6 @@ def test_cell_count_sweep():
             fig = build(n, p)
             assert sum(fig.rows) == termirial_p(n, p), (n, p)
             assert all(1 <= length <= fig.width for length in fig.rows)
-
-
-def test_cell_side_halves_per_order():
-    for p in range(0, 9):
-        assert build(3, p).cell_side == Fraction(1, 2**p)
 
 
 def test_build_guards():
@@ -176,6 +168,14 @@ def test_large_order_dimension_limit():
     assert not rep.measured
     assert rep.ratio == Fraction(2016, 501)
     assert abs(rep.dimension_estimate - 2) < 0.01
+
+
+def test_dimension_estimate_past_float_range():
+    # the ratio 2 * 10**400 overflows a float; the logs of its two ints do not
+    rep = surface_report(10**400 - 1, 1)
+    assert not rep.measured
+    assert rep.ratio == 2 * 10**400
+    assert math.isclose(rep.dimension_estimate, 1 + 400 * math.log2(10))
 
 
 def test_report_domain():

@@ -3,16 +3,16 @@
 import itertools
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termirial import loopnest
+from termirial import core, loopnest, oracle
 from termirial.budget import BudgetExceededError
 from termirial.core import termirial_p
 from termirial.loopnest import (
-    KEYWORDS,
     DuplicateIndexError,
     Loop,
     LoopNestError,
@@ -155,7 +155,7 @@ def test_render_round_trip():
         assert parse(render(prog)) == prog
 
 
-NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True).filter(lambda name: name.lower() not in KEYWORDS)
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True).filter(lambda name: name.lower() not in ("for", "to"))
 
 
 @given(st.lists(NAMES, min_size=2, max_size=8, unique=True), st.none() | st.integers(0, 10**6))
@@ -384,13 +384,38 @@ def test_simulate_is_the_iterated_sum_one_level_down():
             assert simulate(chain_program(depth), n) == nested_sum(n, depth - 1), (depth, n)
 
 
-def test_simulate_budget_is_the_exact_entry_count():
-    for depth in range(1, 6):
+def test_simulate_budget_is_the_exact_projection():
+    for depth in range(2, 6):
         for n in (1, 7, 20):
+            made, summed = math.comb(n + depth - 2, depth - 2), math.comb(n + depth - 2, depth - 1)
+            projected = oracle._RANGE_COST * made + summed + oracle._CALL_COST
             entries = math.comb(n + depth - 1, depth)
-            assert simulate(chain_program(depth), n, budget=entries) == entries
-            with pytest.raises(BudgetExceededError):
-                simulate(chain_program(depth), n, budget=entries - 1)
+            assert simulate(chain_program(depth), n, budget=projected) == entries
+            with pytest.raises(BudgetExceededError) as caught:
+                simulate(chain_program(depth), n, budget=projected - 1)
+            assert caught.value.projected == projected
+    # one loop makes no range: its count is the bound itself
+    assert simulate(chain_program(1), 10**9, budget=1) == 10**9
+
+
+def test_simulate_calls_no_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("simulate must not call the closed form")
+
+    monkeypatch.setattr(core, "termirial_p", closed_form)
+    monkeypatch.setattr(loopnest, "termirial_p", closed_form)
+    assert simulate(parse(FOUR_LOOPS), 100) == 4421275
+    with pytest.raises(BudgetExceededError):
+        simulate(parse(FOUR_LOOPS), 100, budget=1000)
+
+
+def test_simulate_refuses_a_deep_chain_before_any_work():
+    # C(3001, 2998) = 4.5 * 10**9 ranges at n = 3; n = 2 makes 4.5 * 10**6 and runs
+    prog = chain_program(3000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        simulate(prog, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_simulate_budget_guard():

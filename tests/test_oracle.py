@@ -81,7 +81,7 @@ def test_iterated_sum_with_small_pipeline_and_chunks(levels, chunk, monkeypatch)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for n in range(0, 9):
         for p in range(0, 8):
-            assert oracle._iterated_sum(n, p) == math.comb(n + p, p + 1), (n, p)
+            assert oracle._iterated_sum(n, p, 10**6, "small") == math.comb(n + p, p + 1), (n, p)
 
 
 @settings(deadline=None)  # (40, 6) adds about 8 * 10**6 indices
@@ -91,9 +91,10 @@ def test_nested_sum_is_the_termirial(n, p):
 
 
 def test_nested_sum_budget_guard():
+    # 15 * C(57, 7) ranges + C(57, 8) summed elements + 150 per call
     with pytest.raises(BudgetExceededError) as caught:
         nested_sum(50, 8, budget=10**6)
-    assert caught.value.projected == math.comb(59, 9)
+    assert caught.value.projected == 5_618_199_165
     assert caught.value.budget == 10**6
 
 
@@ -103,11 +104,44 @@ def test_nested_sum_projects_its_result_count():
 
 
 def test_nested_sum_projection_bounds_its_calls():
-    # the result C(404, 3) fits the default budget, but the C(403, 4) sigma
-    # calls would not, so the call is refused before it runs
+    # the result C(404, 3) fits the default budget, but the C(403, 399)
+    # ranges would not, so the call is refused before it runs
     with pytest.raises(BudgetExceededError) as caught:
         nested_sum(4, 400)
-    assert caught.value.projected == math.comb(405, 401)
+    assert caught.value.projected == 16_251_929_051
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
+def test_projection_is_the_counted_work(n, monkeypatch):
+    # R ranges hold L indices; all but the last level's are the bounds of the
+    # R - 1 ranges below the first, so the last level sums E = L - R + 1
+    counts = {}
+    ranges = oracle._ranges
+
+    def counting(bounds):
+        for indices in ranges(bounds):
+            counts["R"] += 1
+            counts["L"] += len(indices)
+            yield indices
+
+    monkeypatch.setattr(oracle, "_ranges", counting)
+    for p in range(1, 41):  # for n <= 2, past _C_LEVELS onto the stack
+        made, summed = math.comb(n + p - 1, p - 1), math.comb(n + p - 1, p)
+        if made > 20_000:
+            break
+        with pytest.raises(BudgetExceededError) as caught:
+            oracle._iterated_sum(n, p, 0, "count")
+        projected = caught.value.projected
+        counts.update(R=0, L=0)
+        assert oracle._iterated_sum(n, p, projected, "count") == math.comb(n + p, p + 1), (n, p)
+        assert (counts["R"], counts["L"] - counts["R"] + 1) == (made, summed), (n, p)
+        assert projected == oracle._RANGE_COST * made + summed + oracle._CALL_COST, (n, p)
+
+
+def test_order_zero_does_no_work():
+    assert nested_sum(10**9, 0, budget=1) == 10**9
+    with pytest.raises(BudgetExceededError):
+        nested_sum(1, 1, budget=oracle._CALL_COST)
 
 
 def test_nested_sum_rejects_bad_arguments():

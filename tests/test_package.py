@@ -83,7 +83,7 @@ RECORDS = {
         lambda: loopnest.analyze(loopnest.parse(_PROGRAM)),
         "AnalysisResult(depth=2, order=1, param_name='n', param_value=2, exact_count=3, theta_exponent=2)",
     ),
-    "FractalFigure": (lambda: fractal.build(3, 1), "FractalFigure(n=3, p=1, cell_side=Fraction(1, 2), rows=(1, 2, 3))"),
+    "FractalFigure": (lambda: fractal.build(3, 1), "FractalFigure(n=3, p=1, rows=(1, 2, 3))"),
     "SurfaceReport": (
         lambda: fractal.surface_report(3, 1),
         "SurfaceReport(n=3, p=1, ratio=Fraction(8, 1), dimension_estimate=3.0, measured=True)",
