@@ -21,7 +21,7 @@ _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
 # _iterated_sum's cost in summed elements per range made and per call.  Over 83
 # calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU AMD EPYC),
-# time per unit then stays within 2.5x, the tiniest calls included.
+# time per unit then stays within 3x (2.0-2.8x in three runs), tiny calls too.
 _RANGE_COST = 15
 _CALL_COST = 150
 
