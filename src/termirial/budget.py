@@ -4,13 +4,15 @@ from collections import namedtuple
 
 DEFAULT_STEP_BUDGET = 10**8
 DEFAULT_CELL_BUDGET = 10**7
+DIGIT_CAP = 10**4300  # the interpreter's default int-to-text limit; messages show bigger ints by size
 
 
 class BudgetExceededError(Exception):
-    """A guarded call would do more work than its configured budget allows."""
+    """A guarded call would do more work than its budget allows; projected may be a lower bound."""
 
     def __init__(self, what: str, projected: int, budget: int):
-        super().__init__(f"{what}: projected {projected} exceeds budget {budget}")
+        shown = (v if v < DIGIT_CAP else f"<{v.bit_length()}-bit int>" for v in (projected, budget))
+        super().__init__("{}: projected {} exceeds budget {}".format(what, *shown))
         self.what = what
         self.projected = projected
         self.budget = budget

@@ -234,4 +234,4 @@ def simulate(prog: LoopNestProgram, n: int, budget: int = DEFAULT_STEP_BUDGET) -
     the budget.  A bound of 0 is an empty loop and contributes nothing.
     """
     from .oracle import _iterated_sum  # on first use: parsing and analysis never load the oracle
-    return _iterated_sum(n, prog.depth - 1, budget, f"simulate depth {prog.depth} with n = {n}")
+    return _iterated_sum(n, prog.depth - 1, budget, f"simulate depth {prog.depth} with n = {{n}}")

@@ -8,20 +8,22 @@ raise BudgetExceededError instead of hanging; the budget is a per-call
 argument, never global state.
 """
 
+import gc
 import math
 from collections.abc import Iterator
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import countOf, itemgetter
 
-from .budget import DEFAULT_STEP_BUDGET, check_budget, record
+from .budget import DEFAULT_STEP_BUDGET, DIGIT_CAP, BudgetExceededError, check_budget, record
 
 MAX_ENUM_N = 20
 # sigma levels summed by one pipeline of C iterators, each nesting a few C calls
 _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
-# _iterated_sum's cost in summed elements per range made and per call.  Over 83
-# calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU AMD EPYC),
-# time per unit then stays within 3x (2.0-2.8x in three runs), tiny calls too.
+_DIGIT_BITS = DIGIT_CAP.bit_length()
+# _iterated_sum's cost in summed elements per range looked up and per call.  Over 83
+# calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU Xeon), time per
+# unit stays within 5x (3.5-4.5x in three runs; 2.5-3.1x while every lookup made its range).
 _RANGE_COST = 15
 _CALL_COST = 150
 
@@ -51,12 +53,7 @@ def nested_sum(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """
     if p < 0:
         raise ValueError(f"nested_sum needs p >= 0 sigma levels, got {p}")
-    return _iterated_sum(n, p, budget, f"nested_sum({n}, {p})")
-
-
-def _ranges(bounds):
-    """The indices b, ..., 1 under each bound b, counted down so that no b + 1 is made."""
-    return map(range, bounds, repeat(0), repeat(-1))
+    return _iterated_sum(n, p, budget, f"nested_sum({{n}}, {p})")
 
 
 def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
@@ -65,29 +62,43 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
     The innermost min(p, _C_LEVELS) levels are one lazy pipeline of C
     iterators; outer levels sit on an explicit stack, _CHUNK bounds per
     entry, so C calls nest at most _C_LEVELS levels and nothing recurses.
-    p = 0 does no work.  Else R = C(n+p-1, p-1) ranges sum R*n/p elements, and
-    a call whose _RANGE_COST*R + R*n/p + _CALL_COST passes budget is refused first.
+    Each level looks its bounds up in one dict, which holds the count-down
+    range of every bound, made once per call: n + 1 of them, or one at p = 1.
+    p = 0 does no work.  Else R = C(n+p-1, p-1) range lookups sum R*n/p elements,
+    and a call whose _RANGE_COST*R + R*n/p + _CALL_COST passes budget is refused
+    first, on a lower bound when that passes 4,300 digits.  what names the call,
+    with {n} for n.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if p == 0:
         return n
+    if p * (n + p).bit_length() >= _DIGIT_BITS:  # only then can the C(n+p-1, p) summed pass 4,300 digits
+        k = min(p, n - 1)  # they number at least n, and at least (N/k)**k for N = n+p-1
+        bits = k * (((n + p - 1) // k).bit_length() - 1) if k > 0 else 0
+        floor = max(n, 1 << min(bits, budget.bit_length() + _DIGIT_BITS))  # small, yet past budget
+        if floor >= DIGIT_CAP:  # refused on that bound: no exact binomial, and no digits of n
+            check_budget(floor, budget, what.format(n=f"<{n.bit_length()}-bit int>"))
     ranges = math.comb(n + p - 1, p - 1)
-    check_budget(_RANGE_COST * ranges + ranges * n // p + _CALL_COST, budget, what)
+    projected = _RANGE_COST * ranges + ranges * n // p + _CALL_COST
+    if projected > budget:
+        raise BudgetExceededError(what.format(n=n), projected, budget)
+    keys = range(n, -1 if p > 1 else n - 1, -1)  # n, ..., 0 may be looked up; n alone at p = 1
+    count_down = dict(zip(keys, map(range, keys, repeat(0), repeat(-1)))).__getitem__
     total = 0
     stack = [(p, iter((n,)))]
     while stack:
         levels, bounds = stack.pop()
         if levels <= _C_LEVELS:
             for _ in range(levels - 1):
-                bounds = chain.from_iterable(_ranges(bounds))
-            total += sum(map(sum, _ranges(bounds)))
+                bounds = chain.from_iterable(map(count_down, bounds))
+            total += sum(map(sum, map(count_down, bounds)))
             continue
         chunk = list(islice(bounds, _CHUNK))
         if len(chunk) == _CHUNK:
             stack.append((levels, bounds))
         if chunk:
-            stack.append((levels - 1, chain.from_iterable(_ranges(chunk))))
+            stack.append((levels - 1, chain.from_iterable(map(count_down, chunk))))
     return total
 
 
@@ -102,11 +113,18 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     """All p-element subsets of {1..n} in lexicographic order.
 
     Each subset is an ascending tuple; the list length is C(n, p).
-    Materialized eagerly, so n is capped at MAX_ENUM_N.
+    Materialized eagerly, so n is capped at MAX_ENUM_N, with the cyclic garbage collector
+    paused process-wide (tuples of ints form no cycle) and resumed if it ran on entry.
     """
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
-    return list(_combinations(n, p, budget))
+    listing, enabled = _combinations(n, p, budget), gc.isenabled()
+    gc.disable()
+    try:
+        return list(listing)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Decomposition(record("Decomposition", "n p groups")):

@@ -2,7 +2,9 @@
 and their guards."""
 
 import ast
+import gc
 import math
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termirial import oracle
-from termirial.budget import BudgetExceededError
+from termirial.budget import DIGIT_CAP, BudgetExceededError
 from termirial.core import binomial, termirial, termirial_p
 from termirial.oracle import decompose_by_leading, nested_sum, subsets, termirial_product
 
@@ -111,31 +113,96 @@ def test_nested_sum_projection_bounds_its_calls():
     assert caught.value.projected == 16_251_929_051
 
 
+class _Counting(dict):
+    """The engine's per-call dict of ranges, counting those made, the lookups and their indices."""
+
+    counts = Counter()
+
+    def __init__(self, ranges):
+        super().__init__(ranges)
+        self.counts["made"] += len(self)
+
+    def __getitem__(self, bound):
+        indices = super().__getitem__(bound)
+        self.counts.update(R=1, L=len(indices))
+        return indices
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
 def test_projection_is_the_counted_work(n, monkeypatch):
-    # R ranges hold L indices; all but the last level's are the bounds of the
-    # R - 1 ranges below the first, so the last level sums E = L - R + 1
-    counts = {}
-    ranges = oracle._ranges
-
-    def counting(bounds):
-        for indices in ranges(bounds):
-            counts["R"] += 1
-            counts["L"] += len(indices)
-            yield indices
-
-    monkeypatch.setattr(oracle, "_ranges", counting)
+    # R range lookups hold L indices; all but the last level's are the bounds of
+    # the R - 1 lookups below the first, so the last level sums E = L - R + 1;
+    # each distinct bound's range is made once, and the bounds lie in 0..n
+    monkeypatch.setattr(oracle, "dict", _Counting, raising=False)
+    counts = _Counting.counts
     for p in range(1, 41):  # for n <= 2, past _C_LEVELS onto the stack
-        made, summed = math.comb(n + p - 1, p - 1), math.comb(n + p - 1, p)
-        if made > 20_000:
+        looked_up, summed = math.comb(n + p - 1, p - 1), math.comb(n + p - 1, p)
+        if looked_up > 20_000:
             break
         with pytest.raises(BudgetExceededError) as caught:
             oracle._iterated_sum(n, p, 0, "count")
         projected = caught.value.projected
-        counts.update(R=0, L=0)
+        counts.clear()
         assert oracle._iterated_sum(n, p, projected, "count") == math.comb(n + p, p + 1), (n, p)
-        assert (counts["R"], counts["L"] - counts["R"] + 1) == (made, summed), (n, p)
-        assert projected == oracle._RANGE_COST * made + summed + oracle._CALL_COST, (n, p)
+        assert (counts["R"], counts["L"] - counts["R"] + 1) == (looked_up, summed), (n, p)
+        assert counts["made"] <= n + 1, (n, p)
+        assert projected == oracle._RANGE_COST * looked_up + summed + oracle._CALL_COST, (n, p)
+
+
+def test_stacked_levels_make_a_range_per_distinct_bound(monkeypatch):
+    # past _C_LEVELS the outer levels sit on the stack, and they share the one memo
+    monkeypatch.setattr(oracle, "dict", _Counting, raising=False)
+    for n, p in [(1, 5000), (2, oracle._C_LEVELS + 40), (3, oracle._C_LEVELS + 3)]:
+        _Counting.counts.clear()
+        assert oracle._iterated_sum(n, p, 10**8, "deep") == math.comb(n + p, p + 1), (n, p)
+        assert _Counting.counts["R"] == math.comb(n + p - 1, p - 1), (n, p)
+        assert _Counting.counts["made"] <= n + 1, (n, p)
+
+
+@pytest.mark.parametrize("n, p", [(10**100, 100), (10**1000, 3000)])
+def test_refusal_past_the_digit_cap_is_typed_and_fast(n, p):
+    # the exact count of ranges would take seconds and print past 4,300 digits
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(n, p, budget=1)
+    assert time.perf_counter() - start < 0.1
+    message = str(caught.value)
+    assert len(message) < 200, message
+    # projected is a power-of-two lower bound on the elements summed, past the cap
+    floor = caught.value.projected
+    assert floor >= DIGIT_CAP and floor & (floor - 1) == 0
+    assert message == f"nested_sum(<{n.bit_length()}-bit int>, {p}): projected <{floor.bit_length()}-bit int> exceeds budget 1"
+
+
+def test_the_refusal_floor_is_a_lower_bound():
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(10**100, 100, budget=1)
+    assert caught.value.projected <= math.comb(10**100 + 99, 100)
+
+
+def test_refusals_under_the_digit_cap_keep_the_exact_projection():
+    # n and the projection short of 4,300 digits: the message carries every digit
+    n = 10**1000
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(n, 2, budget=1)
+    projected = 15 * (n + 1) + (n + 1) * n // 2 + 150
+    assert caught.value.projected == projected
+    assert str(caught.value) == f"nested_sum({n}, 2): projected {projected} exceeds budget 1"
+    # n itself past the cap is refused on n, before its digits are needed
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(10**5000, 1, budget=10**6)
+    assert caught.value.projected == 10**5000
+    assert str(caught.value) == "nested_sum(<16610-bit int>, 1): projected <16610-bit int> exceeds budget 1000000"
+
+
+def test_a_budget_past_the_floor_still_counts_exactly():
+    # a floor past 4,300 digits that fits the budget defers to the exact projection
+    budget = 1 << 32_600  # the floor is 2**32500, the exact projection 32,695 bits
+    with pytest.raises(BudgetExceededError) as caught:
+        nested_sum(10**100, 100, budget=budget)
+    exact = math.comb(10**100 + 99, 99)
+    assert caught.value.projected == 15 * exact + math.comb(10**100 + 99, 100) + 150
+    assert str(caught.value).endswith(f"exceeds budget <{budget.bit_length()}-bit int>")
 
 
 def test_order_zero_does_no_work():
@@ -179,6 +246,40 @@ def test_subsets_counts_and_order():
 def test_subsets_full_set():
     for n in range(1, 10):
         assert subsets(n, n) == [tuple(range(1, n + 1))]
+
+
+def test_subsets_runs_no_collection():
+    # the gen-0 threshold would start about 260 passes at parent settings
+    passes = []
+
+    def hook(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        listed = subsets(20, 10)
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(listed) == math.comb(20, 10)
+    assert passes == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_subsets_restores_the_collector(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(subsets(12, 6)) == math.comb(12, 6)
+        assert gc.isenabled() is enabled
+        with pytest.raises(BudgetExceededError):
+            subsets(20, 10, budget=100)
+        assert gc.isenabled() is enabled
+        with pytest.raises(BudgetExceededError):
+            subsets(21, 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_subsets_guards():
