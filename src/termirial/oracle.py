@@ -23,7 +23,7 @@ _CHUNK = 4096  # bounds per stack entry above that pipeline
 _DIGIT_BITS = DIGIT_CAP.bit_length()
 # _iterated_sum's cost in summed elements per range looked up and per call.  Over 83
 # calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU Xeon), time per
-# unit stays within 5x (3.5-4.5x in three runs; 2.5-3.1x while every lookup made its range).
+# unit stays within 5x (3.5-4.5x in three runs), tiny calls too.
 _RANGE_COST = 15
 _CALL_COST = 150
 

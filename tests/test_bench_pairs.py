@@ -1,0 +1,78 @@
+"""The verdicts of tools/bench_pairs.py: when a change claims a gain, and when it reads worse."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)  # tools/ is not a package
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [100.0 + i for i in range(10)]  # median 104.5, quartiles 101.75 and 107.25
+
+
+def test_ten_clear_wins_are_a_gain():
+    verdict = bench_pairs.compare(PARENT, [p + 20 for p in PARENT], "higher", 0.25)
+    assert (verdict["wins"], verdict["pairs"], verdict["gain"]) == (10, 10, True)
+    assert verdict["change_over_parent"] == pytest.approx(124.5 / 104.5)
+    assert verdict["regression"] == "no worse"
+
+
+@pytest.mark.parametrize("losses, gain", [(1, True), (2, False)])
+def test_a_gain_needs_nine_wins_in_ten(losses, gain):
+    change = [p - 1 if i < losses else p + 20 for i, p in enumerate(PARENT)]
+    verdict = bench_pairs.compare(PARENT, change, "higher", 0.25)
+    assert verdict["wins"] == 10 - losses
+    assert verdict["gain"] is gain
+
+
+def test_ties_count_for_neither_side():
+    change = [p if i < 2 else p + 20 for i, p in enumerate(PARENT)]
+    verdict = bench_pairs.compare(PARENT, change, "higher", 0.25)
+    assert verdict["wins"] == 8
+    assert verdict["gain"] is False
+    # against the change, the same pairs are eight losses and two ties: still no win
+    assert bench_pairs.compare(change, PARENT, "higher", 0.25)["wins"] == 0
+
+
+def test_a_gain_must_clear_the_parents_spread():
+    # every pair won, but by less than the distance between the parent's quartiles (5.5)
+    assert bench_pairs.compare(PARENT, [p + 5 for p in PARENT], "higher", 0.25)["gain"] is False
+    assert bench_pairs.compare(PARENT, [p + 6 for p in PARENT], "higher", 0.25)["gain"] is True
+
+
+def test_lower_is_better_flips_the_sign():
+    verdict = bench_pairs.compare(PARENT, [p - 20 for p in PARENT], "lower", 0.25)
+    assert (verdict["wins"], verdict["gain"], verdict["regression"]) == (10, True, "no worse")
+    verdict = bench_pairs.compare(PARENT, [p + 20 for p in PARENT], "lower", 0.25)
+    assert (verdict["wins"], verdict["gain"]) == (0, False)
+
+
+@pytest.mark.parametrize(
+    "change, sign, bound, expected",
+    [
+        # the change's median past the bound on the bad side
+        ([p - 30 for p in PARENT], 1, 0.25, "worse"),
+        ([p + 30 for p in PARENT], -1, 0.25, "worse"),
+        # within the bound, and the parent's quartiles (5.5 apart) inside it (26.1)
+        ([p - 20 for p in PARENT], 1, 0.25, "no worse"),
+        # within the bound, but the bound (2.09) is tighter than the parent's spread
+        ([p - 1 for p in PARENT], 1, 0.02, "unresolved"),
+        ([p + 1 for p in PARENT], -1, 0.02, "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([p + 10 for p in PARENT], 1, 0.02, "no worse"),
+        ([p - 10 for p in PARENT], -1, 0.02, "no worse"),
+    ],
+)
+def test_regression_verdicts(change, sign, bound, expected):
+    assert bench_pairs.regression(PARENT, change, sign, bound) == expected
+    better = "higher" if sign > 0 else "lower"
+    assert bench_pairs.compare(PARENT, change, better, bound)["regression"] == expected
+
+
+def test_one_pair_has_no_spread():
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0)
+    verdict = bench_pairs.compare([10.0], [11.0], "higher", 0.25)
+    assert (verdict["wins"], verdict["gain"], verdict["regression"]) == (1, True, "no worse")
