@@ -4,7 +4,8 @@ from collections import namedtuple
 
 DEFAULT_STEP_BUDGET = 10**8
 DEFAULT_CELL_BUDGET = 10**7
-DIGIT_CAP = 10**4300  # the interpreter's default int-to-text limit; messages show bigger ints by size
+MAX_DIGITS = 4300  # the interpreter's default int-to-text limit
+DIGIT_CAP = 10**MAX_DIGITS  # messages show ints from here up by size
 
 
 class BudgetExceededError(Exception):
@@ -21,6 +22,20 @@ class BudgetExceededError(Exception):
 def check_budget(projected: int, budget: int, what: str) -> None:
     if projected > budget:
         raise BudgetExceededError(what, projected, budget)
+
+
+def check_floor(n: int, p: int, budget: int, what: str) -> None:
+    """Refuse a count C(n+p-1, p) on a bit-length floor, before it is made, once that floor passes 4,300 digits.
+
+    The floor is n, or (N/k)**k for N = n+p-1 and k = min(p, n-1) when larger; what names the call, {n} by size.
+    """
+    if p * (n + p).bit_length() < DIGIT_CAP.bit_length():  # the count cannot pass 4,300 digits
+        return
+    k = min(p, n - 1)
+    bits = k * (((n + p - 1) // k).bit_length() - 1) if k > 0 else 0
+    floor = max(n, 1 << min(bits, budget.bit_length() + DIGIT_CAP.bit_length()))  # small, yet past budget
+    if floor >= DIGIT_CAP:
+        check_budget(floor, budget, what.format(n=f"<{n.bit_length()}-bit int>"))
 
 
 def record(name: str, fields: str) -> type:

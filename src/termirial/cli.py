@@ -54,35 +54,9 @@ def _validate_shared_flags(args) -> None:
         raise UsageError("--max-order must be >= 0")
 
 
-def _resolve_budget(args, default: int) -> int:
-    return default if args.budget is None else args.budget
-
-
-def _exact_output(handler):
-    """The handler, run with the interpreter's int-to-text digit cap (4,300 by default) lifted.
-
-    The cap bounds the cost of parsing untrusted digits.  Handlers only print
-    digits: argparse reads argv before them, and cmd_loops parses its source
-    before it calls _report_loops.  The cap is put back however they end.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters older than the cap
-        return handler
-
-    def run(*args) -> int:
-        cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return handler(*args)
-        finally:
-            sys.set_int_max_str_digits(cap)
-
-    return run
-
-
 # ---------------------------------------------------------------- eval
 
 
-@_exact_output
 def cmd_eval(args) -> int:
     n, p = args.n, args.p
     if n < 0:
@@ -101,7 +75,7 @@ def cmd_eval(args) -> int:
     checks: list[dict] = []
     if args.oracle:
         from . import oracle
-        observed = oracle.nested_sum(n, p, budget=_resolve_budget(args, DEFAULT_STEP_BUDGET))
+        observed = oracle.nested_sum(n, p, budget=args.budget or DEFAULT_STEP_BUDGET)
         agrees = observed == value
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"oracle (iterated sum): {_format_int(observed, args.pretty)} [{verdict}]")
@@ -190,7 +164,6 @@ def _sweep_calls(calls_per_tuple, ranges: dict[str, tuple[int, int]], total: int
     return total * sum(calls_per_tuple(*corner) for corner in corners) // 2 ** len(ranges)
 
 
-@_exact_output
 def cmd_check(args) -> int:
     variables, check_fn, defaults, calls_per_tuple = _IDENTITIES[args.identity]
     for var in ("n", "m", "p"):
@@ -248,14 +221,13 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------- enum
 
 
-@_exact_output
 def cmd_enum(args) -> int:
     n, p = args.n, args.p
     if n < 0:
         raise UsageError("n must be >= 0")
     if not 1 <= p <= n:
         raise UsageError("need 1 <= p <= n")
-    budget = _resolve_budget(args, DEFAULT_STEP_BUDGET)
+    budget = args.budget or DEFAULT_STEP_BUDGET
 
     from . import oracle
     decomp = oracle.decompose_by_leading(n, p, budget=budget)
@@ -292,17 +264,7 @@ def cmd_loops(args) -> int:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()
     from . import loopnest
-    try:
-        prog = loopnest.parse(source)
-    except loopnest.LoopNestError as exc:
-        print(f"error ({exc.kind}): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _report_loops(args, prog)
-
-
-@_exact_output
-def _report_loops(args, prog) -> int:
-    from . import loopnest
+    prog = loopnest.parse(source)
     res = loopnest.analyze(prog, n=args.n)
     lines = [
         f"depth: {res.depth}",
@@ -325,7 +287,7 @@ def _report_loops(args, prog) -> int:
     if args.simulate:
         if res.param_value is None:
             raise UsageError("--simulate needs a bound: give --n or an assignment line")
-        simulated = loopnest.simulate(prog, res.param_value, budget=_resolve_budget(args, DEFAULT_STEP_BUDGET))
+        simulated = loopnest.simulate(prog, res.param_value, budget=args.budget or DEFAULT_STEP_BUDGET)
         agrees = simulated == res.exact_count
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"simulated: {_format_int(simulated, args.pretty)} [{verdict}]")
@@ -340,7 +302,6 @@ def _report_loops(args, prog) -> int:
 # ---------------------------------------------------------------- fractal
 
 
-@_exact_output
 def cmd_fractal(args) -> int:
     n, p = args.n, args.p
     if n < 1:
@@ -351,11 +312,10 @@ def cmd_fractal(args) -> int:
         raise UsageError(f"p exceeds --max-order ({args.max_order})")
     if (args.report or args.report_only) and p < 1:
         raise UsageError("the surface report compares order p to p-1, so p must be >= 1")
-    budget = _resolve_budget(args, DEFAULT_CELL_BUDGET)
+    budget = args.budget or DEFAULT_CELL_BUDGET
 
     lines: list[str] = []
-    # text mode never prints these, and the side's decimal form costs time quadratic in p
-    result: dict = {"cells": core.termirial_p(n, p), "cell_side": f"1/{2**p}" if p else "1"} if args.json else {}
+    result: dict = {}
     checks: list[dict] = []
 
     from . import fractal
@@ -382,6 +342,8 @@ def cmd_fractal(args) -> int:
         if report.measured:
             checks.append({"name": "measured ratio equals closed form", "pass": True})
 
+    if args.json:  # after build's guard; text mode never prints these, and the side costs time quadratic in p
+        result.update(cells=core.termirial_p(n, p), cell_side=f"1/{2**p}" if p else "1")
     inputs = {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}
     _emit(args, "fractal", inputs, result, checks, lines)
     return EXIT_OK
@@ -471,25 +433,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a run may end on, read for the first class of the error's MRO listed here.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    BudgetExceededError: EXIT_BUDGET,
+    AssertionError: EXIT_CHECK_FAILED,  # a cross-check failed; that is a bug, not bad input
+    ValueError: EXIT_USAGE,  # a LoopNestError too, which also prints its kind
+    OSError: EXIT_USAGE,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_merge_negative_ranges(argv))
+    # Results print in full: argparse has read argv and loopnest.parse limits literals itself, so the int-to-text
+    # digit cap (4,300 by default; none before 3.10.7), meant for untrusted input, is lifted until the run ends.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     try:
+        if cap:
+            sys.set_int_max_str_digits(0)
         _validate_shared_flags(args)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"run 'termirial {args.command} --help' for usage", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except AssertionError as exc:  # a cross-check failed; that is a bug, not bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error ({exc.kind}): {exc}" if hasattr(exc, "kind") else f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            print(f"run 'termirial {args.command} --help' for usage", file=sys.stderr)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .budget import DEFAULT_CELL_BUDGET, check_budget, record
+from .budget import DEFAULT_CELL_BUDGET, check_budget, check_floor, record
 from .core import termirial_p
 
 # Building takes C(n+p, p) row entries, (p+1)/n times the cell count, so
@@ -52,7 +52,9 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
         raise ValueError(f"order must be >= 0, got {p}")
     if n > 1 and p > MAX_BUILD_ORDER:
         raise ValueError(f"figures for n >= 2 are built per order and capped at order {MAX_BUILD_ORDER}")
-    check_budget(termirial_p(n, p), budget, f"grey cells of figure ({n}, {p})")
+    what = f"grey cells of figure ({{n}}, {p})"
+    check_floor(n, p + 1, budget, what)  # termirial_p(n, p) = C(n+p, p+1), a floor first
+    check_budget(termirial_p(n, p), budget, what.format(n=n))
     rows = (n,) if p == 0 else tuple(range(1, n + 1))
     # rows(1, q) is (1,) at every order, so only n >= 2 stacks bands.
     for q in range(2, p + 1 if n > 1 else 2):
@@ -89,7 +91,7 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
         raise ValueError(f"the ratio compares order p to p-1, so p must be >= 1, got {p}")
     closed = Fraction(4 * (n + p), p + 1)
     measured = False
-    if termirial_p(n, p) <= budget and (n == 1 or p <= MAX_BUILD_ORDER):
+    if n <= budget and (n == 1 or p <= MAX_BUILD_ORDER) and termirial_p(n, p) <= budget:  # the count is >= n
         fine = build(n, p, budget=budget)
         coarse = build(n, p - 1, budget=budget)
         measured_ratio = 4 * Fraction(sum(fine.rows), sum(coarse.rows))

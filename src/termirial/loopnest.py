@@ -21,11 +21,11 @@ analysis stays symbolic in the parameter.
 
 import re
 
-from .budget import DEFAULT_STEP_BUDGET, record
+from .budget import DEFAULT_STEP_BUDGET, MAX_DIGITS, record
 from .core import termirial_p
 
 
-class LoopNestError(Exception):
+class LoopNestError(ValueError):
     """Parse-time error with a 1-based line and column."""
 
     kind = "error"
@@ -116,13 +116,10 @@ def parse(source: str) -> LoopNestProgram:
             assign = _ASSIGN_RE.fullmatch(code) if assign_allowed else None
             if assign is None:
                 raise _syntax_error(code, lineno, assign_allowed)
-            try:
-                param_value = int(assign["value"])
-            except ValueError:  # longer than the interpreter's integer string conversion limit
-                raise LoopSyntaxError(
-                    f"integer literal of {len(assign['value'])} digits is too long", lineno, assign.start("value") + 1
-                ) from None
-            param_name = assign["name"]
+            if len(assign["value"]) > MAX_DIGITS:  # the interpreter's default limit, whatever the caller set
+                message = f"integer literal of {len(assign['value'])} digits is too long"
+                raise LoopSyntaxError(message, lineno, assign.start("value") + 1)
+            param_name, param_value = assign["name"], int(assign["value"])
             continue
 
         index, bound = match["index"], match["bound"]

@@ -14,13 +14,12 @@ from collections.abc import Iterator
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import countOf, itemgetter
 
-from .budget import DEFAULT_STEP_BUDGET, DIGIT_CAP, BudgetExceededError, check_budget, record
+from .budget import DEFAULT_STEP_BUDGET, BudgetExceededError, check_budget, check_floor, record
 
 MAX_ENUM_N = 20
 # sigma levels summed by one pipeline of C iterators, each nesting a few C calls
 _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
-_DIGIT_BITS = DIGIT_CAP.bit_length()
 # _iterated_sum's cost in summed elements per range looked up and per call.  Over 83
 # calls, n in 2..400 and p in 1..30 (best of 5, Python 3.11.7, 2-CPU Xeon), time per
 # unit stays within 5x (3.5-4.5x in three runs), tiny calls too.
@@ -73,12 +72,7 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if p == 0:
         return n
-    if p * (n + p).bit_length() >= _DIGIT_BITS:  # only then can the C(n+p-1, p) summed pass 4,300 digits
-        k = min(p, n - 1)  # they number at least n, and at least (N/k)**k for N = n+p-1
-        bits = k * (((n + p - 1) // k).bit_length() - 1) if k > 0 else 0
-        floor = max(n, 1 << min(bits, budget.bit_length() + _DIGIT_BITS))  # small, yet past budget
-        if floor >= DIGIT_CAP:  # refused on that bound: no exact binomial, and no digits of n
-            check_budget(floor, budget, what.format(n=f"<{n.bit_length()}-bit int>"))
+    check_floor(n, p, budget, what)  # the C(n+p-1, p) elements summed, without the exact binomial
     ranges = math.comb(n + p - 1, p - 1)
     projected = _RANGE_COST * ranges + ranges * n // p + _CALL_COST
     if projected > budget:

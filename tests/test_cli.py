@@ -1,18 +1,28 @@
 """Command-line behavior: output shapes, JSON envelopes, exit codes."""
 
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from termirial import cli
+from termirial.budget import BudgetExceededError
 from termirial.cli import main
+from termirial.loopnest import LoopSyntaxError
+
+_EXTREMES_PATH = Path(__file__).resolve().parents[1] / "tools" / "extremes.py"
+_SPEC = importlib.util.spec_from_file_location("extremes", _EXTREMES_PATH)  # tools/ is not a package
+extremes = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(extremes)
 
 FOUR_LOOPS = """\
 n = 100
@@ -182,6 +192,41 @@ def test_loops_still_rejects_literals_past_the_digit_cap(capsys, monkeypatch):
 @needs_int_text_cap
 def test_digit_cap_is_restored_when_a_handler_raises(capsys):
     assert run_past_the_cap(capsys, "eval", "50", "8", "--oracle")[0] == 3
+
+
+# main's exit table, one row per error class: the error, its exit code and its whole stderr
+EXIT_TABLE = [
+    (cli.UsageError("n must be >= 0"), 2, "error: n must be >= 0\nrun 'termirial eval --help' for usage\n"),
+    (BudgetExceededError("work", 5, 1), 3, "error: work: projected 5 exceeds budget 1\n"),
+    (AssertionError("sides differ"), 1, "error: sides differ\n"),
+    (ValueError("bad value"), 2, "error: bad value\n"),
+    (OSError("disk gone"), 2, "error: disk gone\n"),
+    (FileNotFoundError(2, "No such file or directory", "x"), 2, "error: [Errno 2] No such file or directory: 'x'\n"),
+    (LoopSyntaxError("expected 'to'", 3, 7), 2, "error (syntax): line 3, column 7: expected 'to'\n"),
+]
+
+
+@needs_int_text_cap
+@pytest.mark.parametrize("error, code, stderr", EXIT_TABLE, ids=[type(row[0]).__name__ for row in EXIT_TABLE])
+def test_each_error_class_has_its_exit_code_and_message(error, code, stderr, capsys, monkeypatch):
+    def handler(args):
+        assert sys.get_int_max_str_digits() == 0  # lifted while the handler runs
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_eval", handler)
+    assert run_past_the_cap(capsys, "eval", "1", "1") == (code, "", stderr)
+
+
+@needs_int_text_cap
+def test_errors_outside_the_exit_table_propagate_with_the_digit_cap_restored(monkeypatch):
+    def handler(args):
+        raise KeyError("not an exit")
+
+    monkeypatch.setattr(cli, "cmd_eval", handler)
+    cap = sys.get_int_max_str_digits()
+    with pytest.raises(KeyError):
+        main(["eval", "1", "1"])
+    assert sys.get_int_max_str_digits() == cap
 
 
 CHECK_ARGS = {
@@ -529,6 +574,18 @@ def test_fractal_exit_codes(capsys):
     assert run_cli(capsys, "fractal", "2", "501")[0] == 2  # past the build order cap
     assert run_cli(capsys, "fractal", "4", "500")[0] == 3  # over the cell budget
     assert run_cli(capsys, "fractal", "10", "8", "--budget", "100")[0] == 3
+
+
+# tools/extremes.py's text-mode fractal and enum cases, which its subprocess runs time out of tier-1
+EXTREME_FIGURES = [argv for argv, _ in extremes.cases() if argv[0] in ("fractal", "enum") and "--json" not in argv]
+
+
+@pytest.mark.parametrize("argv", EXTREME_FIGURES, ids=map(extremes.label, EXTREME_FIGURES))
+def test_extreme_fractal_and_enum_cases_end_fast(argv, capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code in (0, 2, 3), err
 
 
 def test_module_entry_point_value():

@@ -6,6 +6,7 @@ renderers that read only that set.
 """
 
 import math
+import time
 import tracemalloc
 from functools import cache
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termirial.budget import BudgetExceededError
+from termirial.budget import DIGIT_CAP, BudgetExceededError
 from termirial.core import termirial_p
 from termirial.fractal import SVG_CELL_PX, SVG_FILL, build, render, surface_report
 
@@ -125,8 +126,27 @@ def test_build_guards():
         build(3, -1)
     with pytest.raises(ValueError):
         build(2, 501)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as caught:
         build(10, 8, budget=100)
+    assert str(caught.value) == "grey cells of figure (10, 8): projected 48620 exceeds budget 100"
+
+
+def test_refusal_past_the_digit_cap_is_typed_and_fast():
+    # the exact cell count would take seconds, and n alone is 4,300 digits
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        build(10**4300 - 1, 500)
+    assert time.perf_counter() - start < 0.1
+    message = str(caught.value)
+    assert len(message) < 200, message
+    assert caught.value.projected >= DIGIT_CAP
+    assert message.startswith("grey cells of figure (<14285-bit int>, 500): projected <")
+
+
+def test_the_refusal_floor_is_a_lower_bound():
+    with pytest.raises(BudgetExceededError) as caught:
+        build(10**100, 150)
+    assert DIGIT_CAP <= caught.value.projected <= termirial_p(10**100, 150)
 
 
 def test_ratio_measured_equals_closed_form():
@@ -176,6 +196,17 @@ def test_dimension_estimate_past_float_range():
     assert not rep.measured
     assert rep.ratio == 2 * 10**400
     assert math.isclose(rep.dimension_estimate, 1 + 400 * math.log2(10))
+
+
+def test_report_past_the_budget_skips_the_exact_count():
+    # the cell count is at least n, so n past the budget is never measured
+    n, p = 10**400 - 1, 10**4
+    start = time.perf_counter()
+    rep = surface_report(n, p)
+    assert time.perf_counter() - start < 0.1
+    assert not rep.measured
+    assert rep.ratio == Fraction(4 * (n + p), p + 1)
+    assert rep.dimension_estimate == math.log2(rep.ratio.numerator) - math.log2(rep.ratio.denominator)
 
 
 def test_report_domain():

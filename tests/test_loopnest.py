@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import time
 
 import pytest
@@ -101,10 +102,24 @@ def test_parse_minimal_program():
 
 
 def test_overlong_integer_literal_is_a_positioned_syntax_error():
-    with pytest.raises(LoopSyntaxError) as caught:
-        parse("n = " + "9" * 5000 + "\nfor i = 1 to n")
-    assert (caught.value.line, caught.value.column) == (1, 5)
-    assert "5000 digits" in caught.value.message
+    # parse limits a literal to 4,300 digits itself, with the interpreter's
+    # int-to-text cap at its default or lifted, and on interpreters without one
+    assert issubclass(LoopNestError, ValueError)
+    has_cap = hasattr(sys, "set_int_max_str_digits")
+    saved = sys.get_int_max_str_digits() if has_cap else None
+    try:
+        for cap in (4300, 0) if has_cap else (None,):
+            if has_cap:
+                sys.set_int_max_str_digits(cap)
+            assert parse("n = " + "9" * 4300 + "\nfor i = 1 to n").param_value == 10**4300 - 1
+            for digits in (4301, 5000):
+                with pytest.raises(LoopSyntaxError) as caught:
+                    parse("n = " + "9" * digits + "\nfor i = 1 to n")
+                assert (caught.value.line, caught.value.column) == (1, 5)
+                assert caught.value.message == f"integer literal of {digits} digits is too long"
+    finally:
+        if has_cap:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_parse_tolerates_whitespace_case_and_comments():

@@ -1,0 +1,111 @@
+"""Run a fixed grid of 208 extreme command lines and flag the ones that misbehave.
+
+    python3 tools/extremes.py [--checkout PATH]
+
+Each case is one `python -m termirial ...` process on the checkout's src/
+(this repository by default), run at most two at a time and killed after
+10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
+`enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
+500, 10^4}, in text and under `--json` (200 cases), and adds eight more:
+a large `check pascal` sweep, one large `check recurrence` tuple, `eval
+<100 digits> 10000` in text and `--json`, a 3,000-deep chain of loops with
+a 1,000-digit n in text and `--json` and with `--n <400 digits>`, and a
+loop file with a 5,000-digit literal.
+
+One line per case gives the exit code (`timeout` when killed), the seconds
+taken, `TRACEBACK` when stderr holds one, `FLAGGED` when the case exited
+outside {0, 2, 3}, printed a traceback or took over 1.5 s, and the command
+line with long numbers shown by their digit count.  The last line counts
+the flagged cases.  Not part of the tier-1 tests: a run takes minutes.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 10
+SLOW_S = 1.5
+JOBS = 2
+EXPECTED_EXITS = {0, 2, 3}
+
+N_VALUES = [0, 1, 10**6, 10**400 - 1, 10**4300 - 1]
+P_VALUES = [-1, 0, 1, 500, 10**4]
+COMMANDS = [["eval"], ["fractal"], ["fractal", "--report-only"], ["enum"]]
+
+
+def _chain(depth: int) -> str:
+    return "".join(f"for i{d} = 1 to {'n' if d == 0 else f'i{d - 1}'}\n" for d in range(depth))
+
+
+def cases() -> list[tuple[list[str], str]]:
+    """Every case as (argv after `python -m termirial`, stdin text)."""
+    grid = [
+        [command[0], str(n), str(p), *command[1:], *json]
+        for command in COMMANDS
+        for n in N_VALUES
+        for p in P_VALUES
+        for json in ([], ["--json"])
+    ]
+    grid += [
+        ["check", "pascal", "--n", "1..1000", "--p", "0..999"],
+        ["check", "recurrence", "--n", "1000000", "--p", "10000"],
+        ["eval", "9" * 100, "10000"],
+        ["eval", "9" * 100, "10000", "--json"],
+    ]
+    deep = _chain(3000)
+    loops = [
+        (["loops"], "n = " + "9" * 1000 + "\n" + deep),
+        (["loops", "--json"], "n = " + "9" * 1000 + "\n" + deep),
+        (["loops", "--n", "9" * 400], deep),
+        (["loops"], "n = " + "9" * 5000 + "\n" + _chain(1)),
+    ]
+    return [(argv, "") for argv in grid] + loops
+
+
+def label(argv: list[str]) -> str:
+    return " ".join(f"<{len(arg)} digits>" if len(arg) > 20 and arg.isdigit() else arg for arg in argv)
+
+
+def run_case(checkout: str, argv: list[str], stdin: str) -> tuple[int | None, float, bool]:
+    """Exit code (None on timeout), seconds taken, and whether stderr holds a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "termirial", *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start, False
+    return proc.returncode, time.perf_counter() - start, "Traceback (most recent call last)" in proc.stderr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", default=ROOT, help="repository whose src/ is run (default: this one)")
+    args = parser.parse_args()
+    grid = cases()
+    flagged = 0
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        futures = [pool.submit(run_case, args.checkout, argv, stdin) for argv, stdin in grid]
+        for (argv, _), future in zip(grid, futures):
+            code, seconds, traceback = future.result()
+            bad = code not in EXPECTED_EXITS or traceback or seconds > SLOW_S
+            flagged += bad
+            exit_text = "timeout" if code is None else str(code)
+            marks = " ".join(mark for mark, on in (("TRACEBACK", traceback), ("FLAGGED", bad)) if on)
+            print(f"{exit_text:>7} {seconds:6.2f}s {marks:<19} {label(argv)}", flush=True)
+    print(f"flagged: {flagged} of {len(grid)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
