@@ -3,12 +3,12 @@
 The size-n figure is a stack of left-aligned grey rows, held as its row
 lengths from bottom to top.  At order 0 it is one row of n unit cells.
 Each next order halves the cell side and stacks the previous-order
-figures for 1..n as bands, bottom to top, which is the Pascal rule
-rows(n, p) = rows(n-1, p) ++ rows(n, p-1) with rows(k, 0) = (k,); the
-grey-cell count therefore telescopes to termirial_p(n, p).  Halving the
-side quarters a cell's area, so the surface ratio between consecutive
-orders is 4*(n+p)/(p+1), which falls to 4 as the order grows; its base-2
-log is the dimension estimate that tends to 2.
+figures for 1..n as bands, so the grey-cell count is termirial_p(n, p).
+Like chain nests, figures compose: rows(n, a+b) is rows(j, b) for each
+row j of rows(n, a), and rows(j, b) is the first C(j+b-1, b) rows of
+rows(n, b) for b >= 1.  Halving the side quarters a cell's area, so the
+surface ratio of consecutive orders is 4*(n+p)/(p+1), which falls to 4
+as the order grows; its base-2 log is the dimension estimate, toward 2.
 """
 
 import math
@@ -17,10 +17,6 @@ from itertools import chain
 
 from .budget import DEFAULT_CELL_BUDGET, check_budget, check_floor, record
 from .core import termirial_p
-
-# Building takes C(n+p, p) row entries, (p+1)/n times the cell count, so
-# for small n the cell budget alone does not bound the work; this does.
-MAX_BUILD_ORDER = 500
 
 SVG_CELL_PX = 10
 SVG_FILL = "#808080"
@@ -43,24 +39,22 @@ class FractalFigure(record("FractalFigure", "n p rows")):
 def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
     """Construct the order-p figure for n.
 
-    Raises BudgetExceededError when the figure would hold more than
-    budget cells, and ValueError for n >= 2 with p > MAX_BUILD_ORDER.
+    Raises BudgetExceededError when the figure would hold more than budget cells.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if p < 0:
         raise ValueError(f"order must be >= 0, got {p}")
-    if n > 1 and p > MAX_BUILD_ORDER:
-        raise ValueError(f"figures for n >= 2 are built per order and capped at order {MAX_BUILD_ORDER}")
     what = f"grey cells of figure ({{n}}, {p})"
     check_floor(n, p + 1, budget, what)  # termirial_p(n, p) = C(n+p, p+1), a floor first
     check_budget(termirial_p(n, p), budget, what.format(n=n))
     rows = (n,) if p == 0 else tuple(range(1, n + 1))
-    # rows(1, q) is (1,) at every order, so only n >= 2 stacks bands.
-    for q in range(2, p + 1 if n > 1 else 2):
-        # From order 1 on, rows(k, q-1) is the first C(k+q-2, q-1) rows of
-        # rows(n, q-1), so each band is a prefix of the previous order.
-        rows = tuple(chain.from_iterable(rows[: math.comb(k + q - 2, q - 1)] for k in range(1, n + 1)))
+    q = 1
+    # Past p's leading bit (order 1), each bit composes order q with itself, and a 1 bit then with order 1.
+    for bit in bin(p)[3:]:
+        for js, a in ((rows, q), (range(1, n + 1), 1))[: 1 + int(bit)]:  # js = rows(n, a)
+            ends = [math.comb(k + q - 1, q) for k in range(n + 1)]  # rows(k, q) = rows[: ends[k]]
+            rows, q = tuple(chain.from_iterable(rows[: ends[j]] for j in js)), q + a
     return FractalFigure(n=n, p=p, rows=rows)
 
 
@@ -91,7 +85,7 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
         raise ValueError(f"the ratio compares order p to p-1, so p must be >= 1, got {p}")
     closed = Fraction(4 * (n + p), p + 1)
     measured = False
-    if n <= budget and (n == 1 or p <= MAX_BUILD_ORDER) and termirial_p(n, p) <= budget:  # the count is >= n
+    if n <= budget and termirial_p(n, p) <= budget:  # the count is >= n
         fine = build(n, p, budget=budget)
         coarse = build(n, p - 1, budget=budget)
         measured_ratio = 4 * Fraction(sum(fine.rows), sum(coarse.rows))

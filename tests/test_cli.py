@@ -571,7 +571,8 @@ def test_fractal_exit_codes(capsys):
     assert run_cli(capsys, "fractal", "0", "1")[0] == 2
     assert run_cli(capsys, "fractal", "4", "-1")[0] == 2
     assert run_cli(capsys, "fractal", "4", "0", "--report")[0] == 2
-    assert run_cli(capsys, "fractal", "2", "501")[0] == 2  # past the build order cap
+    assert run_cli(capsys, "fractal", "2", "501")[0] == 0  # 503 cells: no order cap
+    assert run_cli(capsys, "fractal", "3", "5000")[0] == 3  # 12,512,503 cells
     assert run_cli(capsys, "fractal", "4", "500")[0] == 3  # over the cell budget
     assert run_cli(capsys, "fractal", "10", "8", "--budget", "100")[0] == 3
 
