@@ -11,24 +11,22 @@ import re
 import sys
 
 from . import core
-from .budget import DEFAULT_CELL_BUDGET, DEFAULT_STEP_BUDGET, BudgetExceededError
+from .budget import DEFAULT_CELL_BUDGET, DEFAULT_STEP_BUDGET, BudgetExceededError, check_budget, value_cost
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_MAX_ORDER = 10**4
 MAX_SWEEP_TUPLES = 10**6
-MAX_SWEEP_VALUE = 10**6
-# Work cap of a check sweep, in kernel calls; a running-product step and an
-# order-row step count as one each.  The largest sweep the tuple cap admits at
-# a fixed cost per tuple, split2 over 10**6 tuples, makes 1.1 * 10**7 of them.
-MAX_SWEEP_CALLS = 2 * 10**7
 
 
 class UsageError(Exception):
     pass
+
+
+def _short(value: int) -> int | str:
+    return value if value.bit_length() <= 64 else f"<{value.bit_length()}-bit int>"  # keeps a refusal's message short
 
 
 def _format_int(value: int, pretty: bool) -> str:
@@ -42,16 +40,8 @@ def _emit(args, command: str, inputs: dict, result: dict, checks: list[dict], li
         import json
         envelope = {"command": command, "inputs": inputs, "result": result, "checks": checks}
         print(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _validate_shared_flags(args) -> None:
-    if args.budget is not None and args.budget < 1:
-        raise UsageError("--budget must be a positive integer")
-    if args.max_order < 0:
-        raise UsageError("--max-order must be >= 0")
+    elif lines:
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------- eval
@@ -63,19 +53,19 @@ def cmd_eval(args) -> int:
         raise UsageError("n must be >= 0")
     if p < core.MIN_ORDER:
         raise UsageError("p must be >= -1")
-    if p > args.max_order:
-        raise UsageError(f"p exceeds --max-order ({args.max_order})")
     if args.oracle and p < 0:
         raise UsageError("the iterated-sum oracle needs p >= 0")
+    budget = args.budget or DEFAULT_STEP_BUDGET
 
-    value = core.termirial_p(n, p)
     top, bottom = n + p, p + 1
-    lines = [_format_int(value, args.pretty), f"binomial form: C({top}, {bottom})"]
+    check_budget(value_cost(top, bottom), budget, f"termirial_p({_short(n)}, {_short(p)})")
+    value = core.termirial_p(n, p)
+    lines = [] if args.json else [_format_int(value, args.pretty), f"binomial form: C({top}, {bottom})"]
     result = {"value": value, "binomial_top": top, "binomial_bottom": bottom}
     checks: list[dict] = []
     if args.oracle:
         from . import oracle
-        observed = oracle.nested_sum(n, p, budget=args.budget or DEFAULT_STEP_BUDGET)
+        observed = oracle.nested_sum(n, p, budget=budget)
         agrees = observed == value
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"oracle (iterated sum): {_format_int(observed, args.pretty)} [{verdict}]")
@@ -148,24 +138,19 @@ def _check_closedform(n: int, p: int) -> Sides:
 
 
 _IDENTITIES = {
-    # name: (variables, per-tuple check, default ranges, kernel calls per tuple)
-    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: 2),
-    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)}, lambda n, m, p: 2 * p + 3),
-    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 7),
-    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: 11),
-    "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}, lambda n, p: n + 1),
-    "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}, lambda n, p: p + 2),
+    # name: (variables, check, default ranges, a tuple's calls (the check and each step count one) and largest C(N, k))
+    "pascal": (("n", "p"), _check_pascal, {"n": (1, 50), "p": (-1, 10)}, lambda n, p: (3, n + p + 2, p + 2)),
+    "newton": (("n", "m", "p"), _check_newton, {"n": (1, 15), "m": (1, 15), "p": (-1, 7)},
+               lambda n, m, p: (2 * p + 4, n + m + p, p + 1)),
+    "split1": (("n", "m"), _check_split1, {"n": (1, 50), "m": (1, 50)}, lambda n, m: (8, n + m + 1, 2)),
+    "split2": (("n", "m"), _check_split2, {"n": (1, 50), "m": (1, 50)}, lambda n, m: (12, n + m + 2, 3)),
+    "recurrence": (("n", "p"), _check_recurrence, {"n": (1, 30), "p": (0, 6)}, lambda n, p: (n + 2, n + p, p + 1)),
+    "closedform": (("n", "p"), _check_closedform, {"n": (1, 30), "p": (-1, 8)}, lambda n, p: (p + 3, n + p, p + 1)),
 }
 
 
-def _sweep_calls(calls_per_tuple, ranges: dict[str, tuple[int, int]], total: int) -> int:
-    # the calls per tuple are multi-affine: their mean over the sweep is their mean over the 2^k range corners
-    corners = itertools.product(*ranges.values())
-    return total * sum(calls_per_tuple(*corner) for corner in corners) // 2 ** len(ranges)
-
-
 def cmd_check(args) -> int:
-    variables, check_fn, defaults, calls_per_tuple = _IDENTITIES[args.identity]
+    variables, check_fn, defaults, tuple_work = _IDENTITIES[args.identity]
     for var in ("n", "m", "p"):
         if getattr(args, var) is not None and var not in variables:
             raise UsageError(f"identity '{args.identity}' does not take --{var}")
@@ -177,21 +162,17 @@ def cmd_check(args) -> int:
         if var in ("n", "m"):
             if lo < 1:
                 raise UsageError(f"--{var} must start at 1 or above")
-            if hi > MAX_SWEEP_VALUE:
-                raise UsageError(f"--{var} is capped at {MAX_SWEEP_VALUE}")
         else:
             min_p = 0 if args.identity == "recurrence" else core.MIN_ORDER
             if lo < min_p:
                 raise UsageError(f"--p must start at {min_p} or above for '{args.identity}'")
-            if hi > args.max_order:
-                raise UsageError(f"--p exceeds --max-order ({args.max_order})")
         ranges[var] = (lo, hi)
         total *= hi - lo + 1
     if total > MAX_SWEEP_TUPLES:
         raise UsageError(f"sweep of {total} tuples exceeds the cap of {MAX_SWEEP_TUPLES}")
-    calls = _sweep_calls(calls_per_tuple, ranges, total)
-    if calls > MAX_SWEEP_CALLS:
-        raise UsageError(f"sweep of {total} tuples makes {calls} kernel calls, over the cap of {MAX_SWEEP_CALLS}")
+    calls, top, bottom = tuple_work(*(hi for _, hi in ranges.values()))  # values grow with n, m and p: the top corner
+    projected = total * calls * value_cost(top, bottom)
+    check_budget(projected, args.budget or DEFAULT_STEP_BUDGET, f"check {args.identity} sweep of {total} tuples")
 
     show_each = args.each or total == 1
     lines: list[str] = []
@@ -203,8 +184,9 @@ def cmd_check(args) -> int:
             failures += 1
         if show_each or not ok:
             label = " ".join(f"{v}={x}" for v, x in zip(variables, assigned))
-            lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {_detail(ok, lhs, rhs)}")
             checks.append({"name": f"{args.identity} {label}", "pass": ok})
+            if not args.json:
+                lines.append(f"{'ok' if ok else 'FAIL'} {args.identity} {label}: {_detail(ok, lhs, rhs)}")
 
     range_text = " ".join(f"{v}={lo}..{hi}" for v, (lo, hi) in ranges.items())
     verdict = "all pass" if failures == 0 else f"{failures} FAILED"
@@ -265,12 +247,15 @@ def cmd_loops(args) -> int:
             source = handle.read()
     from . import loopnest
     prog = loopnest.parse(source)
+    n, depth, budget = prog.param_value if args.n is None else args.n, prog.depth, args.budget or DEFAULT_STEP_BUDGET
+    if n is not None:  # the count C(n+depth-1, depth), before analyze makes it
+        check_budget(value_cost(n + depth - 1, depth), budget, f"loop count termirial_p({_short(n)}, {depth - 1})")
     res = loopnest.analyze(prog, n=args.n)
     lines = [
         f"depth: {res.depth}",
         f"closed form: {res.termirial_text()} = {res.binomial_text()}",
     ]
-    if res.exact_count is not None:
+    if res.exact_count is not None and not args.json:
         lines.append(f"count: {_format_int(res.exact_count, args.pretty)}")
     lines.append(f"theta: {res.theta_text()}")
     result = {
@@ -287,7 +272,7 @@ def cmd_loops(args) -> int:
     if args.simulate:
         if res.param_value is None:
             raise UsageError("--simulate needs a bound: give --n or an assignment line")
-        simulated = loopnest.simulate(prog, res.param_value, budget=args.budget or DEFAULT_STEP_BUDGET)
+        simulated = loopnest.simulate(prog, res.param_value, budget=budget)
         agrees = simulated == res.exact_count
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"simulated: {_format_int(simulated, args.pretty)} [{verdict}]")
@@ -308,8 +293,6 @@ def cmd_fractal(args) -> int:
         raise UsageError("n must be >= 1")
     if p < 0:
         raise UsageError("p must be >= 0")
-    if p > args.max_order:
-        raise UsageError(f"p exceeds --max-order ({args.max_order})")
     if (args.report or args.report_only) and p < 1:
         raise UsageError("the surface report compares order p to p-1, so p must be >= 1")
     budget = args.budget or DEFAULT_CELL_BUDGET
@@ -342,7 +325,9 @@ def cmd_fractal(args) -> int:
         if report.measured:
             checks.append({"name": "measured ratio equals closed form", "pass": True})
 
-    if args.json:  # after build's guard; text mode never prints these, and the side costs time quadratic in p
+    if args.json:  # after build's guard; text mode never prints these.  On the step budget: --budget counts cells
+        cost = value_cost(n + p, p + 1) + value_cost(0, 0, p)  # the side is 2**p, made by a shift
+        check_budget(cost, DEFAULT_STEP_BUDGET, f"cell count and side of figure ({_short(n)}, {p})")
         result.update(cells=core.termirial_p(n, p), cell_side=f"1/{2**p}" if p else "1")
     inputs = {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}
     _emit(args, "fractal", inputs, result, checks, lines)
@@ -384,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--pretty", action="store_true", help="print large numbers with digit groups: 4 421 275")
     budget_help = f"work guard override (defaults: {DEFAULT_STEP_BUDGET} steps, {DEFAULT_CELL_BUDGET} cells)"
     shared.add_argument("--budget", type=int, metavar="N", help=budget_help)
-    shared.add_argument(
-        "--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="N", help="largest accepted termirial order"
-    )
 
     parser = argparse.ArgumentParser(
         prog="termirial",
@@ -452,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if cap:
             sys.set_int_max_str_digits(0)
-        _validate_shared_flags(args)
+        if args.budget is not None and args.budget < 1:
+            raise UsageError("--budget must be a positive integer")
         return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error ({exc.kind}): {exc}" if hasattr(exc, "kind") else f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """The verdicts of tools/bench_pairs.py: when a change claims a gain, and when it reads worse."""
 
+import hashlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,22 @@ def test_one_pair_has_no_spread():
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0)
     verdict = bench_pairs.compare([10.0], [11.0], "higher", 0.25)
     assert (verdict["wins"], verdict["gain"], verdict["regression"]) == (1, True, "no worse")
+
+
+def test_each_side_records_the_code_it_measured(tmp_path):
+    def git(*argv):
+        return subprocess.run(["git", "-C", str(tmp_path), *argv], capture_output=True, check=True).stdout
+
+    assert bench_pairs.checkout_code(str(tmp_path)) == "unknown"  # not a repository of its own
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD").decode().strip()
+    assert bench_pairs.checkout_code(str(tmp_path)) == head
+    (tmp_path / "b.txt").write_text("untracked\n")
+    assert bench_pairs.checkout_code(str(tmp_path)) == head  # only tracked files count
+    (tmp_path / "a.txt").write_text("two\n")
+    digest = hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
+    assert bench_pairs.checkout_code(str(tmp_path)) == f"{head}+dirty:{digest}"
+    assert bench_pairs.checkout_code(str(tmp_path / "sub")) == "unknown"  # missing, or inside another repository

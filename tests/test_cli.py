@@ -7,7 +7,6 @@ import math
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from termirial import cli
-from termirial.budget import BudgetExceededError
+from termirial.budget import DEFAULT_STEP_BUDGET, BudgetExceededError, value_cost
 from termirial.cli import main
 from termirial.loopnest import LoopSyntaxError
 
@@ -103,15 +102,49 @@ def test_runs_are_byte_identical(capsys):
     [
         ["eval", "-1", "2"],
         ["eval", "5", "-2"],
-        ["eval", "5", "20000"],
         ["eval", "3", "-1", "--oracle"],
         ["eval", "5", "2", "--budget", "0"],
+        ["eval", "5", "2", "--budget", "-1"],
     ],
 )
 def test_eval_usage_errors(argv, capsys):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_eval_accepts_any_order_whose_value_fits(capsys):
+    # C(20005, 20001) = C(20005, 4) has 16 digits; no order cap refuses it
+    expected = f"{math.comb(20005, 4)}\nbinomial form: C(20005, 20001)\n"
+    assert run_cli(capsys, "eval", "5", "20000") == (0, expected, "")
+
+
+def refusal(argv: list[str]) -> BudgetExceededError:
+    """The BudgetExceededError a handler raises for argv, read in-process before main turns it into text."""
+    args = cli.build_parser().parse_args(cli._merge_negative_ranges(argv))
+    with pytest.raises(BudgetExceededError) as caught:
+        args.handler(args)
+    return caught.value
+
+
+def test_eval_refusal_projects_the_value_cost():
+    error = refusal(["eval", "100", "3", "--budget", "1"])
+    assert (error.projected, error.budget) == (value_cost(103, 4), 1)
+    assert str(error) == f"termirial_p(100, 3): projected {value_cost(103, 4)} exceeds budget 1"
+
+
+def test_loops_refusal_projects_the_value_cost(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(FOUR_LOOPS))
+    error = refusal(["loops", "--budget", "1"])
+    assert (error.projected, error.budget) == (value_cost(103, 4), 1)
+    assert error.what == "loop count termirial_p(100, 3)"
+
+
+def test_fractal_json_refusal_projects_the_cells_and_the_side():
+    # --budget counts cells, so the printed values are charged to the step budget
+    error = refusal(["fractal", "1", "1000000", "--json", "--budget", "1"])
+    assert error.projected == value_cost(1000001, 1000001) + value_cost(0, 0, 10**6)
+    assert error.budget == DEFAULT_STEP_BUDGET
 
 
 def test_eval_oracle_budget_exceeded(capsys):
@@ -172,7 +205,7 @@ def test_check_pascal_past_the_digit_cap(capsys):
 
 @needs_int_text_cap
 def test_fractal_cell_side_past_the_digit_cap(capsys):
-    code, out, _ = run_past_the_cap(capsys, "fractal", "1", "15000", "--max-order", "20000", "--json")
+    code, out, _ = run_past_the_cap(capsys, "fractal", "1", "15000", "--json")
     result = json.loads(out)["result"]
     assert code == 0
     assert (result["cells"], result["figure"]) == (1, "#")
@@ -279,7 +312,7 @@ def test_check_json_summary(capsys):
         ["check", "pascal", "--n", "0..5"],
         ["check", "recurrence", "--p", "-1..3"],
         ["check", "nosuch"],
-        ["check", "newton", "--n", "1..1000", "--m", "1..1000", "--p", "0..1000"],
+        ["check", "newton", "--n", "1..1000", "--m", "1..1000", "--p", "0..1000"],  # over the tuple cap
     ],
 )
 def test_check_usage_errors(argv, capsys):
@@ -288,52 +321,65 @@ def test_check_usage_errors(argv, capsys):
 
 
 def test_check_refuses_sweeps_over_the_call_cap():
-    # 10**6 tuples pass the tuple cap, but recurrence makes n + 1 kernel calls per tuple
+    # 10**6 tuples pass the tuple cap, but recurrence makes n + 1 binomials per tuple, up to C(1999, 1000)
     proc = subprocess.run(
         [sys.executable, "-m", "termirial", "check", "recurrence", "--n", "1..1000", "--p", "0..999"],
         capture_output=True,
         text=True,
         timeout=30,
     )
-    assert proc.returncode == 2
+    projected = 10**6 * 1002 * value_cost(1999, 1000)
+    assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == (
-        "error: sweep of 1000000 tuples makes 501500000 kernel calls, over the cap of 20000000\n"
-        "run 'termirial check --help' for usage\n"
-    )
+    assert proc.stderr == f"error: check recurrence sweep of 1000000 tuples: projected {projected} exceeds budget 100000000\n"
+
+
+# A tuple's calls, counted as the check itself plus one per kernel call, running-product step and
+# order-row step, and the (N, k) of the largest C(N, k) it makes, written out apart from cli._IDENTITIES.
+TUPLE_WORK = {
+    "pascal": lambda n, p: (3, n + p + 2, p + 2),
+    "newton": lambda n, m, p: (2 * p + 4, n + m + p, p + 1),
+    "split1": lambda n, m: (8, n + m + 1, 2),
+    "split2": lambda n, m: (12, n + m + 2, 3),
+    "recurrence": lambda n, p: (n + 2, n + p, p + 1),
+    "closedform": lambda n, p: (p + 3, n + p, p + 1),
+}
 
 
 @pytest.mark.parametrize("identity", sorted(CHECK_ARGS))
 @given(data=st.data())
-def test_sweep_projection_matches_the_midpoint_product(identity, data):
-    # the integer corner sum must equal the exact rational tuple count times the calls at the midpoints
-    variables, _, _, calls_per_tuple = cli._IDENTITIES[identity]
-    ranges = {}
-    for var in variables:
+def test_sweep_projection_uses_the_top_corner(identity, data):
+    # tuples times the calls and the largest value's cost at the top corner, for any ranges, before any work
+    argv, total, corner = ["check", identity, "--budget", "1"], 1, []
+    for var in cli._IDENTITIES[identity][0]:
         lo = data.draw(st.integers(-1 if var == "p" else 1, 10**6), label=f"{var} start")
-        ranges[var] = (lo, data.draw(st.integers(lo, lo + 10**4), label=f"{var} stop"))
-    total = math.prod(hi - lo + 1 for lo, hi in ranges.values())
-    midpoint_calls = int(total * calls_per_tuple(*(Fraction(lo + hi, 2) for lo, hi in ranges.values())))
-    assert cli._sweep_calls(calls_per_tuple, ranges, total) == midpoint_calls
+        hi = data.draw(st.integers(lo, lo + 99), label=f"{var} stop")
+        argv.append(f"--{var}={lo}..{hi}")
+        total, corner = total * (hi - lo + 1), corner + [hi]
+    if identity == "recurrence" and argv[-1].startswith("--p=-1"):
+        return  # recurrence starts at p = 0
+    calls, top, bottom = TUPLE_WORK[identity](*corner)
+    assert refusal(argv).projected == total * calls * value_cost(top, bottom)
 
 
 @pytest.mark.parametrize("identity", sorted(CHECK_ARGS))
 def test_check_projects_its_kernel_calls(identity, capsys, monkeypatch):
-    import termirial.cli
     import termirial.core
     import termirial.oracle
 
-    monkeypatch.setattr(termirial.cli, "MAX_SWEEP_CALLS", 0)
-    _, _, err = run_cli(capsys, "check", identity, *CHECK_ARGS[identity])
-    projected = int(err.split(" makes ")[1].split()[0])
-    monkeypatch.undo()
+    # one tuple, the top corner of CHECK_ARGS: the refusal charges its calls times the largest value's cost
+    flags, ranges = CHECK_ARGS[identity][::2], CHECK_ARGS[identity][1::2]
+    corner = [cli._range_arg(text)[1] for text in ranges]
+    single = [text for flag, hi in zip(flags, corner) for text in (flag, str(hi))]
+    calls, top, bottom = TUPLE_WORK[identity](*corner)
+    assert refusal(["check", identity, *single, "--budget", "1"]).projected == calls * value_cost(top, bottom)
 
-    calls = 0
+    made = 1  # the check itself
 
     def counted(fn, steps=lambda *args: 1):
         def wrapper(*args):
-            nonlocal calls
-            calls += steps(*args)
+            nonlocal made
+            made += steps(*args)
             return fn(*args)
 
         return wrapper
@@ -343,8 +389,8 @@ def test_check_projects_its_kernel_calls(identity, capsys, monkeypatch):
     monkeypatch.setattr(termirial.core, "_order_row", counted(termirial.core._order_row, lambda n, p: p + 1))
     product = termirial.oracle.termirial_product
     monkeypatch.setattr(termirial.oracle, "termirial_product", counted(product, lambda n, p: p + 1))
-    assert run_cli(capsys, "check", identity, *CHECK_ARGS[identity])[0] == 0
-    assert calls == projected
+    assert run_cli(capsys, "check", identity, *single)[0] == 0
+    assert made == calls
 
 
 def test_check_failure_exits_one(capsys, monkeypatch):
@@ -563,7 +609,7 @@ def test_fractal_text_mode_never_formats_the_cell_side(capsys, monkeypatch):
     # Only --json prints the cell side 1/2^p, 301,030 digits at p = 10^6.  With
     # the digit cap left in place, formatting it would raise; text mode must not.
     monkeypatch.setattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
-    code, out, err = run_cli(capsys, "fractal", "1", "1000000", "--max-order", "2000000")
+    code, out, err = run_cli(capsys, "fractal", "1", "1000000")
     assert (code, out, err) == (0, "#\n", "")
 
 
@@ -587,6 +633,23 @@ def test_extreme_fractal_and_enum_cases_end_fast(argv, capsys):
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code in (0, 2, 3), err
+
+
+# the rest of tools/extremes.py's grid: eval, check, loops and every --json form
+EXTREME_OTHERS = [case for case in extremes.cases() if case[0] not in EXTREME_FIGURES]
+# accepted cases that print the 200,000-digit C(10**400 + 499, 501), in quadratic time below Python 3.12:
+# eval in text and --json, and the --json cell count of fractal --report-only
+PRINTS_200K_DIGITS = {("eval", "9" * 400, "500"), ("fractal", "9" * 400, "500")}
+
+
+@pytest.mark.parametrize("argv, stdin", EXTREME_OTHERS, ids=[extremes.label(argv) for argv, _ in EXTREME_OTHERS])
+def test_every_other_extreme_case_ends_fast(argv, stdin, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, _, err = run_cli_stdin(capsys, monkeypatch, stdin, *argv)
+    limit = 2.5 if tuple(argv[:3]) in PRINTS_200K_DIGITS else 1
+    assert time.perf_counter() - start < limit
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_value():

@@ -9,7 +9,9 @@ written, BENCH_<label>.json at the root of this repository, holds for each
 workload and end-to-end metric both sides' median and quartiles, the number
 of pairs the change won (ties count for neither side), the change's median
 over the parent's, and every run's value; and next to them the Python
-version, CPU count, CPU model and the commit of each checkout.  "gain" is
+version, CPU count, CPU model and the code of each checkout: its HEAD
+commit, plus `+dirty:` and the first 12 hex digits of the SHA-256 of `git
+diff HEAD` when its tracked files differ from HEAD.  "gain" is
 true when the change won at least nine pairs in ten and its median beats the
 parent's by more than the distance between the parent's quartiles.
 "regression" is the no-regression verdict, with each metric's `bound` from
@@ -20,6 +22,7 @@ and not every change run beats every parent run; otherwise "no worse".
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -27,6 +30,19 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def checkout_code(checkout: str) -> str:
+    """HEAD of the checkout's own git repository, marked dirty by a hash of its diff; 'unknown' outside one."""
+    def git(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", checkout, *argv], capture_output=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or os.path.realpath(top.stdout.decode().strip()) != os.path.realpath(checkout):
+        return "unknown"
+    head = git("rev-parse", "HEAD").stdout.decode().strip() or "unknown"
+    diff = git("diff", "HEAD").stdout
+    return f"{head}+dirty:{hashlib.sha256(diff).hexdigest()[:12]}" if diff else head
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
@@ -94,6 +110,7 @@ def main() -> int:
     workloads = [w["name"] for w in declared["workloads"]] if args.workload == "all" else [args.workload]
 
     sides = {"parent": args.parent, "change": args.change}
+    commits = {side: checkout_code(path) for side, path in sides.items()}  # before any run, as measured
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -113,7 +130,7 @@ def main() -> int:
         "python": environment["python"],
         "nproc": environment["nproc"],
         "cpu_model": environment["cpu_model"],
-        "commits": {side: runs[side][0]["environment"]["commit"] for side in sides},
+        "commits": commits,
         "seeds": [args.first_seed + i for i in range(args.pairs)],
         "seconds": args.seconds,
         "failed": {side: [run["summary"]["failed"] for run in runs[side]] for side in sides},

@@ -18,7 +18,10 @@ One line per case gives the exit code (`timeout` when killed), the seconds
 taken, `TRACEBACK` when stderr holds one, `FLAGGED` when the case exited
 outside {0, 2, 3}, printed a traceback or took over 1.5 s, and the command
 line with long numbers shown by their digit count.  The last line counts
-the flagged cases.  Not part of the tier-1 tests: a run takes minutes.
+the flagged cases and the failed ones.  The script exits 1 when a case
+failed: it timed out, printed a traceback or exited outside {0, 2, 3}.  A
+case that is only slow is flagged but does not fail, since its time
+depends on the host.
 """
 
 import argparse
@@ -98,18 +101,20 @@ def main() -> int:
     parser.add_argument("--checkout", default=ROOT, help="repository whose src/ is run (default: this one)")
     args = parser.parse_args()
     grid = cases()
-    flagged = 0
+    flagged = failed = 0
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         futures = [pool.submit(run_case, args.checkout, argv, stdin) for argv, stdin in grid]
         for (argv, _), future in zip(grid, futures):
             code, seconds, traceback = future.result()
-            bad = code not in EXPECTED_EXITS or traceback or seconds > SLOW_S
+            fails = code not in EXPECTED_EXITS or traceback  # a timeout's code is None
+            bad = fails or seconds > SLOW_S
             flagged += bad
+            failed += fails
             exit_text = "timeout" if code is None else str(code)
             marks = " ".join(mark for mark, on in (("TRACEBACK", traceback), ("FLAGGED", bad)) if on)
             print(f"{exit_text:>7} {seconds:6.2f}s {marks:<19} {label(argv)}", flush=True)
-    print(f"flagged: {flagged} of {len(grid)}")
-    return 0
+    print(f"flagged: {flagged} of {len(grid)}, failed: {failed}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
