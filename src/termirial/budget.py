@@ -5,17 +5,20 @@ from collections import namedtuple
 DEFAULT_STEP_BUDGET = 10**8
 DEFAULT_CELL_BUDGET = 10**7
 MAX_DIGITS = 4300  # the interpreter's default int-to-text limit
-DIGIT_CAP = 10**MAX_DIGITS  # messages show ints from here up by size
+DIGIT_CAP = 10**MAX_DIGITS  # counts past it are refused on a bit-length floor, before they are made
 # value_cost's units per value, per VALUE_MAKE of k*b and per VALUE_PRINT of b*b, fitted to measured times (README)
 VALUE_CALL, VALUE_MAKE, VALUE_PRINT = 40, 120, 6800
+
+
+def short(value: int) -> int | str:
+    return value if value.bit_length() <= 64 else f"<{value.bit_length()}-bit int>"  # keeps a refusal's message short
 
 
 class BudgetExceededError(Exception):
     """A guarded call would do more work than its budget allows; projected may be a lower bound."""
 
     def __init__(self, what: str, projected: int, budget: int):
-        shown = (v if v < DIGIT_CAP else f"<{v.bit_length()}-bit int>" for v in (projected, budget))
-        super().__init__("{}: projected {} exceeds budget {}".format(what, *shown))
+        super().__init__(f"{what}: projected {short(projected)} exceeds budget {short(budget)}")
         self.what = what
         self.projected = projected
         self.budget = budget

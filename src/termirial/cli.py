@@ -11,22 +11,16 @@ import re
 import sys
 
 from . import core
-from .budget import DEFAULT_CELL_BUDGET, DEFAULT_STEP_BUDGET, BudgetExceededError, check_budget, value_cost
+from .budget import DEFAULT_CELL_BUDGET, DEFAULT_STEP_BUDGET, BudgetExceededError, check_budget, short, value_cost
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-MAX_SWEEP_TUPLES = 10**6
-
 
 class UsageError(Exception):
     pass
-
-
-def _short(value: int) -> int | str:
-    return value if value.bit_length() <= 64 else f"<{value.bit_length()}-bit int>"  # keeps a refusal's message short
 
 
 def _format_int(value: int, pretty: bool) -> str:
@@ -58,7 +52,7 @@ def cmd_eval(args) -> int:
     budget = args.budget or DEFAULT_STEP_BUDGET
 
     top, bottom = n + p, p + 1
-    check_budget(value_cost(top, bottom), budget, f"termirial_p({_short(n)}, {_short(p)})")
+    check_budget(value_cost(top, bottom), budget, f"termirial_p({short(n)}, {short(p)})")
     value = core.termirial_p(n, p)
     lines = [] if args.json else [_format_int(value, args.pretty), f"binomial form: C({top}, {bottom})"]
     result = {"value": value, "binomial_top": top, "binomial_bottom": bottom}
@@ -168,11 +162,9 @@ def cmd_check(args) -> int:
                 raise UsageError(f"--p must start at {min_p} or above for '{args.identity}'")
         ranges[var] = (lo, hi)
         total *= hi - lo + 1
-    if total > MAX_SWEEP_TUPLES:
-        raise UsageError(f"sweep of {total} tuples exceeds the cap of {MAX_SWEEP_TUPLES}")
     calls, top, bottom = tuple_work(*(hi for _, hi in ranges.values()))  # values grow with n, m and p: the top corner
     projected = total * calls * value_cost(top, bottom)
-    check_budget(projected, args.budget or DEFAULT_STEP_BUDGET, f"check {args.identity} sweep of {total} tuples")
+    check_budget(projected, args.budget or DEFAULT_STEP_BUDGET, f"check {args.identity} sweep of {short(total)} tuples")
 
     show_each = args.each or total == 1
     lines: list[str] = []
@@ -218,7 +210,7 @@ def cmd_enum(args) -> int:
     agrees = decomp.total == value
     result = {
         "binomial": value,
-        "groups": [[leading, count] for leading, count in decomp.groups],
+        "groups": decomp.groups,  # pairs, which json writes as lists
         "reading": {"n": n - p + 1, "p": p - 1},
     }
     if args.subsets:
@@ -247,10 +239,8 @@ def cmd_loops(args) -> int:
             source = handle.read()
     from . import loopnest
     prog = loopnest.parse(source)
-    n, depth, budget = prog.param_value if args.n is None else args.n, prog.depth, args.budget or DEFAULT_STEP_BUDGET
-    if n is not None:  # the count C(n+depth-1, depth), before analyze makes it
-        check_budget(value_cost(n + depth - 1, depth), budget, f"loop count termirial_p({_short(n)}, {depth - 1})")
-    res = loopnest.analyze(prog, n=args.n)
+    budget = args.budget or DEFAULT_STEP_BUDGET
+    res = loopnest.analyze(prog, n=args.n, budget=budget)
     lines = [
         f"depth: {res.depth}",
         f"closed form: {res.termirial_text()} = {res.binomial_text()}",
@@ -307,8 +297,6 @@ def cmd_fractal(args) -> int:
         text = fractal.render(fig, args.format)
         result.update({"width": fig.width, "height": fig.height})
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
             result["out"] = args.out
         else:
             lines.append(text)
@@ -327,8 +315,11 @@ def cmd_fractal(args) -> int:
 
     if args.json:  # after build's guard; text mode never prints these.  On the step budget: --budget counts cells
         cost = value_cost(n + p, p + 1) + value_cost(0, 0, p)  # the side is 2**p, made by a shift
-        check_budget(cost, DEFAULT_STEP_BUDGET, f"cell count and side of figure ({_short(n)}, {p})")
+        check_budget(cost, DEFAULT_STEP_BUDGET, f"cell count and side of figure ({short(n)}, {p})")
         result.update(cells=core.termirial_p(n, p), cell_side=f"1/{2**p}" if p else "1")
+    if "out" in result:  # written once every guard has passed
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
     inputs = {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}
     _emit(args, "fractal", inputs, result, checks, lines)
     return EXIT_OK

@@ -21,7 +21,7 @@ analysis stays symbolic in the parameter.
 
 import re
 
-from .budget import DEFAULT_STEP_BUDGET, MAX_DIGITS, record
+from .budget import DEFAULT_STEP_BUDGET, MAX_DIGITS, check_budget, record, short, value_cost
 from .core import termirial_p
 
 
@@ -203,14 +203,16 @@ class AnalysisResult(record("AnalysisResult", "depth order param_name param_valu
         return f"Θ({self.param_name}^{self.theta_exponent})"
 
 
-def analyze(prog: LoopNestProgram, n: int | None = None) -> AnalysisResult:
-    """Iteration count of the nest: termirial_p(n, depth-1) = C(n+depth-1, depth).
+def analyze(prog: LoopNestProgram, n: int | None = None, budget: int = DEFAULT_STEP_BUDGET) -> AnalysisResult:
+    """Iteration count of the nest: termirial_p(n, depth-1) = C(n+depth-1, depth), refused first past budget.
 
     The bound n is prog.param_value unless overridden; when neither is
     given the result is symbolic (exact_count is None).
     """
-    value = prog.param_value if n is None else n
-    depth = prog.depth
+    value, depth = prog.param_value if n is None else n, prog.depth
+    if value is not None:
+        what = f"loop count termirial_p({short(value)}, {depth - 1})"
+        check_budget(value_cost(value + depth - 1, depth), budget, what)
     return AnalysisResult(
         depth=depth,
         order=depth - 1,

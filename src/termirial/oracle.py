@@ -14,9 +14,9 @@ from collections.abc import Iterator
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import countOf, itemgetter
 
-from .budget import DEFAULT_STEP_BUDGET, BudgetExceededError, check_budget, check_floor, record
+from .budget import DEFAULT_STEP_BUDGET, check_budget, check_floor, record, short
 
-MAX_ENUM_N = 20
+MAX_ENUM_N = 20  # subsets holds every subset in a list: C(20, 10) = 184,756 tuples
 # sigma levels summed by one pipeline of C iterators, each nesting a few C calls
 _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
@@ -25,6 +25,9 @@ _CHUNK = 4096  # bounds per stack entry above that pipeline
 # unit stays within 5x (3.5-4.5x in three runs), tiny calls too.
 _RANGE_COST = 15
 _CALL_COST = 150
+# a subset walk's cost in that unit, per subset and per leading-element group, plus one per two index writes: the
+# walk rewrites every index right of the one it steps, C(n+1, p) - 1 in all, n/2 per subset near p = n (README)
+_SUBSET_COST, _GROUP_COST = 4, 115
 
 
 def termirial_product(n: int, p: int) -> int:
@@ -74,9 +77,7 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
         return n
     check_floor(n, p, budget, what)  # the C(n+p-1, p) elements summed, without the exact binomial
     ranges = math.comb(n + p - 1, p - 1)
-    projected = _RANGE_COST * ranges + ranges * n // p + _CALL_COST
-    if projected > budget:
-        raise BudgetExceededError(what.format(n=n), projected, budget)
+    check_budget(_RANGE_COST * ranges + ranges * n // p + _CALL_COST, budget, what.format(n=n))
     keys = range(n, -1 if p > 1 else n - 1, -1)  # n, ..., 0 may be looked up; n alone at p = 1
     count_down = dict(zip(keys, map(range, keys, repeat(0), repeat(-1)))).__getitem__
     total = 0
@@ -97,9 +98,11 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
 
 
 def _combinations(n: int, p: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """The p-subsets of {1..n}, lazily, once both enumeration guards pass."""
-    check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
-    check_budget(math.comb(n, p), budget, f"subsets({n}, {p})")
+    """The p-subsets of {1..n}, lazily, once their walk, charged as the constants above say, fits budget."""
+    what = f"subsets({short(n)}, {short(p)})"
+    check_floor(n - p + 1, p, budget, what)  # C(n, p) = C((n-p+1)+p-1, p), refused on a floor past 4,300 digits
+    walk = _SUBSET_COST * math.comb(n, p) + math.comb(n + 1, p) // 2 + _GROUP_COST * max(n - p + 1, 0)
+    check_budget(walk, budget, what)
     return combinations(range(1, n + 1), p)
 
 
@@ -112,6 +115,7 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     """
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
+    check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
     listing, enabled = _combinations(n, p, budget), gc.isenabled()
     gc.disable()
     try:

@@ -312,7 +312,6 @@ def test_check_json_summary(capsys):
         ["check", "pascal", "--n", "0..5"],
         ["check", "recurrence", "--p", "-1..3"],
         ["check", "nosuch"],
-        ["check", "newton", "--n", "1..1000", "--m", "1..1000", "--p", "0..1000"],  # over the tuple cap
     ],
 )
 def test_check_usage_errors(argv, capsys):
@@ -320,8 +319,36 @@ def test_check_usage_errors(argv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "newton", "--n", "1..1000", "--m", "1..1000", "--p", "0..1000"],  # 10**9 tuples
+        ["check", "split1", "--n", "1..1001", "--m", "1..1000"],  # 1,001,000 tuples of 8 small calls each
+    ],
+)
+def test_check_refuses_sweeps_past_a_million_tuples_on_the_budget(argv, capsys):
+    # no tuple cap: the top-corner projection is the sweep's one guard, and it exits 3 before any tuple runs
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: check {argv[1]} sweep of ") and "exceeds budget 100000000" in err
+
+
+def test_check_runs_a_sweep_past_a_million_tuples_that_fits_its_budget(capsys, monkeypatch):
+    # the identity's check is stubbed so that the 1,001,000 tuples run fast; --budget lifts the projection
+    variables, _, defaults, tuple_work = cli._IDENTITIES["split1"]
+    monkeypatch.setitem(cli._IDENTITIES, "split1", (variables, lambda n, m: (True, 0, 0), defaults, tuple_work))
+    argv = ["check", "split1", "--n", "1..1001", "--m", "1..1000"]
+    projected = refusal([*argv, "--budget", "1"]).projected
+    assert projected > DEFAULT_STEP_BUDGET
+    code, out, err = run_cli(capsys, *argv, "--budget", str(projected))
+    assert (code, err) == (0, "")
+    assert out == "split1: n=1..1001 m=1..1000: 1001000 checks, all pass\n"
+
+
 def test_check_refuses_sweeps_over_the_call_cap():
-    # 10**6 tuples pass the tuple cap, but recurrence makes n + 1 binomials per tuple, up to C(1999, 1000)
+    # recurrence makes n + 1 binomials per tuple, up to C(1999, 1000), so 10**6 tuples project far past the budget
     proc = subprocess.run(
         [sys.executable, "-m", "termirial", "check", "recurrence", "--n", "1..1000", "--p", "0..999"],
         capture_output=True,
@@ -445,10 +472,22 @@ def test_enum_json(capsys):
 
 
 def test_enum_guards(capsys):
-    assert run_cli(capsys, "enum", "25", "2")[0] == 3
+    assert run_cli(capsys, "enum", "25", "2")[0] == 0  # any n whose walk fits the budget
+    assert run_cli(capsys, "enum", "21", "2", "--subsets")[0] == 3  # the listing stops at n = 20
+    assert run_cli(capsys, "enum", "1000000", "1")[0] == 3  # 10**6 groups
     assert run_cli(capsys, "enum", "5", "6")[0] == 2
     assert run_cli(capsys, "enum", "5", "0")[0] == 2
     assert run_cli(capsys, "enum", "5", "2", "--budget", "5")[0] == 3
+
+
+@pytest.mark.parametrize(("n", "p"), [(2**64 + 1, 1), (2**64 + 1, 2), (2**64 + 1, 500), (10**6, 500)])
+def test_enum_refusals_show_large_ints_by_size(n, p, capsys):
+    # n past 64 bits, or a projection past 64 bits: C(10**6, 500) is short of 4,300 digits, so it is made
+    code, out, err = run_cli(capsys, "enum", str(n), str(p))
+    assert (code, out) == (3, "")
+    shown = n if n.bit_length() <= 64 else f"<{n.bit_length()}-bit int>"
+    assert err.startswith(f"error: subsets({shown}, {p}): projected <")
+    assert err.endswith("-bit int> exceeds budget 100000000\n") and len(err) < 120
 
 
 def test_loops_from_file(tmp_path, capsys):
@@ -585,6 +624,25 @@ def test_fractal_svg_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().count("<rect ") == 20
+
+
+def test_fractal_refused_under_json_writes_no_file(tmp_path, capsys):
+    # the one-cell figure fits the cell budget, but its 2**10**6 side is refused on the step budget
+    target = tmp_path / "side.txt"
+    code, out, err = run_cli(capsys, "fractal", "1", "1000000", "--json", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cell count and side of figure (1, 1000000): projected ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--format", "svg", "--report"]])
+def test_fractal_out_writes_the_rendered_figure(flags, tmp_path, capsys):
+    from termirial import fractal
+
+    target = tmp_path / "figure.txt"
+    assert run_cli(capsys, "fractal", "4", "2", *flags, "--out", str(target))[0] == 0
+    fmt = "svg" if "svg" in flags else "ascii"
+    assert target.read_bytes() == (fractal.render(fractal.build(4, 2), fmt) + "\n").encode()
 
 
 def test_fractal_out_into_a_missing_directory(tmp_path, capsys):

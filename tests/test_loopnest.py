@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termirial import core, loopnest, oracle
-from termirial.budget import BudgetExceededError
+from termirial.budget import BudgetExceededError, value_cost
 from termirial.core import termirial_p
 from termirial.loopnest import (
     DuplicateIndexError,
@@ -356,6 +356,19 @@ def test_analyze_symbolic_without_bound():
 def test_analyze_override_wins_over_program_value():
     res = analyze(parse(FOUR_LOOPS), n=4)
     assert res.exact_count == termirial_p(4, 3)
+
+
+def test_analyze_refuses_a_huge_count_before_making_it():
+    # C(10**1000 + 2999, 3000) has about 3 million digits; the library call is charged as `termirial loops` is
+    prog = chain_program(3000, n=10**1000 - 1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        analyze(prog)
+    assert time.perf_counter() - start < 0.1
+    assert caught.value.what == "loop count termirial_p(<3322-bit int>, 2999)"
+    assert analyze(prog, n=5, budget=value_cost(5 + 2999, 3000)).exact_count == termirial_p(5, 2999)
+    with pytest.raises(BudgetExceededError):
+        analyze(prog, n=5, budget=value_cost(5 + 2999, 3000) - 1)
 
 
 def test_simulate_matches_analyze():

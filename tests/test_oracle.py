@@ -181,13 +181,13 @@ def test_the_refusal_floor_is_a_lower_bound():
 
 
 def test_refusals_under_the_digit_cap_keep_the_exact_projection():
-    # n and the projection short of 4,300 digits: the message carries every digit
+    # n and the projection short of 4,300 digits: the count is exact, and the message shows it by size
     n = 10**1000
     with pytest.raises(BudgetExceededError) as caught:
         nested_sum(n, 2, budget=1)
     projected = 15 * (n + 1) + (n + 1) * n // 2 + 150
     assert caught.value.projected == projected
-    assert str(caught.value) == f"nested_sum({n}, 2): projected {projected} exceeds budget 1"
+    assert str(caught.value) == f"nested_sum({n}, 2): projected <{projected.bit_length()}-bit int> exceeds budget 1"
     # n itself past the cap is refused on n, before its digits are needed
     with pytest.raises(BudgetExceededError) as caught:
         nested_sum(10**5000, 1, budget=10**6)
@@ -338,10 +338,56 @@ def test_decompose_domain():
 
 
 def test_decompose_guards():
+    assert decompose_by_leading(21, 2).total == 210  # past the listing's n = 20: the walk holds no subset
     with pytest.raises(BudgetExceededError):
-        decompose_by_leading(21, 2)
+        subsets(21, 2)
     with pytest.raises(BudgetExceededError):
         decompose_by_leading(20, 10, budget=100)
+
+
+def test_decompose_counts_formula_up_to_thirty():
+    # past the listing's cap of 20, wherever the walk stays small
+    for n in range(13, 31):
+        for p in range(1, n + 1):
+            if binomial(n, p) <= 10**5:
+                d = decompose_by_leading(n, p)
+                assert d.counts == [binomial(n - s, p - 1) for s in range(1, n - p + 2)]
+                assert d.total == binomial(n, p)
+
+
+def test_decompose_charges_each_subset_each_group_and_each_index_write():
+    # the walk's projection: oracle._SUBSET_COST per subset, one unit per two of the C(n+1, p) - 1 index writes,
+    # and oracle._GROUP_COST per leading element
+    with pytest.raises(BudgetExceededError) as caught:
+        decompose_by_leading(25, 2, budget=1)
+    projected = 4 * 300 + math.comb(26, 2) // 2 + 115 * 24
+    assert caught.value.projected == projected
+    assert str(caught.value) == f"subsets(25, 2): projected {projected} exceeds budget 1"
+    # near p = n each step rewrites up to n - 1 indices: 2,000 subsets, 2,000,999 writes
+    projected = 4 * 2000 + math.comb(2001, 1999) // 2 + 115 * 2
+    assert decompose_by_leading(2000, 1999, budget=projected).counts == [1999, 1]
+    with pytest.raises(BudgetExceededError):
+        decompose_by_leading(2000, 1999, budget=projected - 1)
+
+
+@pytest.mark.parametrize(("n", "p"), [(100_000, 99_999), (6000, 5998), (10**6, 999_999)])
+def test_decompose_refuses_a_walk_near_p_equal_n_at_once(n, p):
+    # few subsets, but about C(n+1, p) index writes: 5 * 10**9 at (100000, 99999), minutes of walking
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        decompose_by_leading(n, p)
+    assert time.perf_counter() - start < 0.1
+    assert caught.value.projected > math.comb(n + 1, p) // 2
+
+
+def test_decompose_refuses_a_large_walk_on_its_floor():
+    # C(10**4300, 500) is never made: the floor refuses it, and the message shows n by size
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        decompose_by_leading(10**4300, 500)
+    assert time.perf_counter() - start < 0.1
+    assert str(caught.value).startswith("subsets(<14285-bit int>, 500): projected <")
+    assert len(str(caught.value)) < 120
 
 
 @given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))

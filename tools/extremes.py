@@ -1,4 +1,4 @@
-"""Run a fixed grid of 211 extreme command lines and flag the ones that misbehave.
+"""Run a fixed grid of 218 extreme command lines and flag the ones that misbehave.
 
     python3 tools/extremes.py [--checkout PATH]
 
@@ -6,13 +6,16 @@ Each case is one `python -m termirial ...` process on the checkout's src/
 (this repository by default), run at most two at a time and killed after
 10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
 `enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
-500, 10^4}, in text and under `--json` (200 cases), and adds eleven more:
-a large `check pascal` sweep, one large `check recurrence` tuple, `eval
-<100 digits> 10000` in text and `--json`, three small figures of high
-order (`fractal 4 250 --report-only`, `fractal 3 500 --report-only` and
-`fractal 2 501`), a 3,000-deep chain of loops with a 1,000-digit n in text
-and `--json` and with `--n <400 digits>`, and a loop file with a
-5,000-digit literal.
+500, 10^4}, in text and under `--json` (200 cases), and adds eighteen
+more: a large `check pascal` sweep, a `check split1` sweep of 1,001,000
+tuples, one large `check recurrence` tuple, `eval <100 digits> 10000` in
+text and `--json`, three small figures of high order (`fractal 4 250
+--report-only`, `fractal 3 500 --report-only` and `fractal 2 501`), six
+subset walks past the listing's n = 20 (`enum 25 2`, `enum 100000 1`,
+`enum 30 15`, `enum 21 2 --subsets`, and `enum 100000 99999` and `enum
+6000 5998`, whose few subsets take about C(n+1, p) index writes), a
+3,000-deep chain of loops with a 1,000-digit n in text and `--json` and
+with `--n <400 digits>`, and a loop file with a 5,000-digit literal.
 
 One line per case gives the exit code (`timeout` when killed), the seconds
 taken, `TRACEBACK` when stderr holds one, `FLAGGED` when the case exited
@@ -57,12 +60,19 @@ def cases() -> list[tuple[list[str], str]]:
     ]
     grid += [
         ["check", "pascal", "--n", "1..1000", "--p", "0..999"],
+        ["check", "split1", "--n", "1..1001", "--m", "1..1000"],
         ["check", "recurrence", "--n", "1000000", "--p", "10000"],
         ["eval", "9" * 100, "10000"],
         ["eval", "9" * 100, "10000", "--json"],
         ["fractal", "4", "250", "--report-only"],
         ["fractal", "3", "500", "--report-only"],
         ["fractal", "2", "501"],
+        ["enum", "25", "2"],
+        ["enum", "100000", "1"],
+        ["enum", "30", "15"],
+        ["enum", "21", "2", "--subsets"],
+        ["enum", "100000", "99999"],
+        ["enum", "6000", "5998"],
     ]
     deep = _chain(3000)
     loops = [
