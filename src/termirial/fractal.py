@@ -6,9 +6,10 @@ Each next order halves the cell side and stacks the previous-order
 figures for 1..n as bands, so the grey-cell count is termirial_p(n, p).
 Like chain nests, figures compose: rows(n, a+b) is rows(j, b) for each
 row j of rows(n, a), and rows(j, b) is the first C(j+b-1, b) rows of
-rows(n, b) for b >= 1.  Halving the side quarters a cell's area, so the
-surface ratio of consecutive orders is 4*(n+p)/(p+1), which falls to 4
-as the order grows; its base-2 log is the dimension estimate, toward 2.
+rows(n, b) for b >= 1, so rows(n, a) is the top C(n+a-1, a) rows of
+rows(n, p) for 1 <= a <= p.  Halving the side quarters a cell's area, so
+the surface ratio of consecutive orders is 4*(n+p)/(p+1), which falls to
+4 as the order grows; its base-2 log is the dimension estimate, toward 2.
 """
 
 import math
@@ -48,14 +49,21 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
     what = f"grey cells of figure ({{n}}, {p})"
     check_floor(n, p + 1, budget, what)  # termirial_p(n, p) = C(n+p, p+1), a floor first
     check_budget(termirial_p(n, p), budget, what.format(n=n))
-    rows = (n,) if p == 0 else tuple(range(1, n + 1))
-    q = 1
-    # Past p's leading bit (order 1), each bit composes order q with itself, and a 1 bit then with order 1.
+    return FractalFigure(n=n, p=p, rows=(n,) if p == 0 else _compose(tuple(range(1, n + 1)), p))
+
+
+def _compose(seq, p: int, rows=None):
+    """seq, the n order-1 rows bottom first (lengths or lines), composed to order p: past p's leading bit, each bit
+    composes order q with itself, and a 1 bit then with order 1.  Each row k of rows(n, a), read from the top of
+    rows (or of the composed lengths when rows is None), becomes rows(k, q).  The result has seq's type."""
+    n, q = len(seq), 1
     for bit in bin(p)[3:]:
-        for js, a in ((rows, q), (range(1, n + 1), 1))[: 1 + int(bit)]:  # js = rows(n, a)
-            ends = [math.comb(k + q - 1, q) for k in range(n + 1)]  # rows(k, q) = rows[: ends[k]]
-            rows, q = tuple(chain.from_iterable(rows[: ends[j]] for j in js)), q + a
-    return FractalFigure(n=n, p=p, rows=rows)
+        for a in (q, 1)[: 1 + int(bit)]:
+            tops = (seq[: math.comb(k + q - 1, q)] for k in range(n + 1))  # rows(k, q), each once
+            if a > 1:  # rows(n, a) repeats lengths, so each prefix is sliced once
+                tops = map(list(tops).__getitem__, (seq if rows is None else rows)[-len(seq) :])
+            seq, q = type(seq)(chain.from_iterable(tops)), q + a
+    return seq
 
 
 class SurfaceReport(record("SurfaceReport", "n p ratio dimension_estimate measured")):
@@ -84,14 +92,13 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
     if p < 1:
         raise ValueError(f"the ratio compares order p to p-1, so p must be >= 1, got {p}")
     closed = Fraction(4 * (n + p), p + 1)
-    measured = False
-    if n <= budget and termirial_p(n, p) <= budget:  # the count is >= n
+    measured = n <= budget and termirial_p(n, p) <= budget  # the count is >= n
+    if measured:
         fine = build(n, p, budget=budget)
         coarse = build(n, p - 1, budget=budget)
         measured_ratio = 4 * Fraction(sum(fine.rows), sum(coarse.rows))
         if measured_ratio != closed:
             raise AssertionError(f"measured ratio {measured_ratio} != closed form {closed} at ({n}, {p})")
-        measured = True
     try:
         estimate = math.log2(closed)
     except OverflowError:  # past float range; the logs of its two ints never are
@@ -104,13 +111,13 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
 
     Output is deterministic: '#' for grey and '.' for empty in ASCII, top
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
-    ASCII joins one string per distinct row length, not per width, since an
-    order-0 figure is one row of any width; each SVG column is one join.
+    ASCII composes the lines of the top n rows as build composes their
+    lengths and joins once; each SVG column is one join.
     """
-    if fmt == "ascii":
-        width = fig.width
-        table = {length: "#" * length + "." * (width - length) for length in set(fig.rows)}
-        return "\n".join(map(table.__getitem__, reversed(fig.rows)))
+    if fmt == "ascii":  # the top n rows are the n order-1 rows, or at order 0 the one row of any width
+        lines = _compose(["#" * k + "." * (fig.n - k) for k in fig.rows[-fig.n :]], fig.p, fig.rows)
+        lines.reverse()
+        return "\n".join(lines)
     if fmt == "svg":
         return _render_svg(fig)
     raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")

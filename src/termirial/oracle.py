@@ -10,7 +10,6 @@ argument, never global state.
 
 import gc
 import math
-from collections.abc import Iterator
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import countOf, itemgetter
 
@@ -97,32 +96,31 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
     return total
 
 
-def _combinations(n: int, p: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """The p-subsets of {1..n}, lazily, once their walk, charged as the constants above say, fits budget."""
+def _walk(n: int, p: int, budget: int, consume):
+    """consume(the p-subsets of {1..n}, lazily) once their walk, charged as the constants above say, fits budget,
+    with the cyclic garbage collector paused process-wide (tuples of ints form no cycle) and then restored."""
     what = f"subsets({short(n)}, {short(p)})"
     check_floor(n - p + 1, p, budget, what)  # C(n, p) = C((n-p+1)+p-1, p), refused on a floor past 4,300 digits
     walk = _SUBSET_COST * math.comb(n, p) + math.comb(n + 1, p) // 2 + _GROUP_COST * max(n - p + 1, 0)
     check_budget(walk, budget, what)
-    return combinations(range(1, n + 1), p)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return consume(combinations(range(1, n + 1), p))
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int, ...]]:
     """All p-element subsets of {1..n} in lexicographic order.
 
     Each subset is an ascending tuple; the list length is C(n, p).
-    Materialized eagerly, so n is capped at MAX_ENUM_N, with the cyclic garbage collector
-    paused process-wide (tuples of ints form no cycle) and resumed if it ran on entry.
+    Materialized eagerly, so n is capped at MAX_ENUM_N.
     """
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
     check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
-    listing, enabled = _combinations(n, p, budget), gc.isenabled()
-    gc.disable()
-    try:
-        return list(listing)
-    finally:
-        if enabled:
-            gc.enable()
+    return _walk(n, p, budget, list)
 
 
 class Decomposition(record("Decomposition", "n p groups")):
@@ -150,13 +148,13 @@ def decompose_by_leading(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> D
     For p = 2 the counts read n-1, n-2, ..., 1 (a triangular cascade);
     for p = 3 they are the triangular numbers in descending order, so
     each binomial coefficient decomposes into lower-order termirials.
-    Every subset is enumerated literally, but streamed: lexicographic order
-    keeps each leading element's subsets contiguous, so only their leading
-    elements are read, and each run of equal ones is counted in C by
-    operator.countOf; no subset is held in a list.
+    Every subset is enumerated literally, but streamed: lexicographic order keeps each leading
+    element's subsets contiguous, so only their leading elements are read, and each run of equal
+    ones is counted in C by operator.countOf; no subset is held in a list, and the cyclic garbage
+    collector is paused during the walk, as in subsets.
     """
     if not 1 <= p <= n:
         raise ValueError(f"decompose_by_leading needs 1 <= p <= n, got ({n}, {p})")
-    listing = groupby(map(itemgetter(0), _combinations(n, p, budget)))
-    groups = tuple((leading, countOf(run, leading)) for leading, run in listing)
-    return Decomposition(n=n, p=p, groups=groups)
+    def count(walk):
+        return tuple((leading, countOf(run, leading)) for leading, run in groupby(map(itemgetter(0), walk)))
+    return Decomposition(n=n, p=p, groups=_walk(n, p, budget, count))

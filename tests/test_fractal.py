@@ -12,7 +12,7 @@ from functools import cache
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termirial.budget import DIGIT_CAP, BudgetExceededError
@@ -80,6 +80,37 @@ def test_rows_match_cell_set_oracle(n, p):
     assert (fig.width, fig.height) == (1 + max(x for x, _ in cells), 1 + max(y for _, y in cells))
     assert render(fig) == oracle_ascii(cells)
     assert render(fig, "svg") == oracle_svg(cells)
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n, p in ORACLE_SHAPES if p >= 1])
+def test_every_lower_order_is_the_top_band(n, p):
+    # the render reads rows(n, a) as the figure's top C(n+a-1, a) rows; past order 8, a samples the doubling
+    rows = build(n, p).rows
+    for a in sorted({*range(1, min(p, 8) + 1), p // 2, p - 1, p} - {0}):
+        assert rows[-math.comb(n + a - 1, a) :] == build(n, a).rows, a
+
+
+def test_order_zero_is_the_top_row_of_order_one():
+    for n in (1, 2, 7, 50, 1000):
+        assert build(n, 0).rows == build(n, 1).rows[-1:] == (n,)
+
+
+def _max_order(n: int, cells: int) -> int:
+    p = 0
+    while p < 64 and termirial_p(n, p + 1) <= cells:
+        p += 1
+    return p
+
+
+@settings(deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, _max_order(n, 2 * 10**5)))))
+@example((2, 501))
+@example((3, 500))
+@example((4, 60))
+def test_render_is_the_rows_line_by_line(shape):
+    n, p = shape
+    fig = build(n, p)
+    assert render(fig) == "\n".join("#" * length + "." * (n - length) for length in reversed(fig.rows))
 
 
 @settings(deadline=None)
@@ -243,6 +274,19 @@ def test_render_a_single_long_row():
     assert text == "#" * 20_000
     assert peak < 10 * len(text)
     assert render(build(2_000, 0), "svg") == oracle_svg(oracle_cells(2_000, 0))
+
+
+def test_render_peaks_near_its_output():
+    # the lines are composed as one list, reversed in place and joined once: no second copy of the rows
+    fig = build(50, 3)
+    tracemalloc.start()
+    try:
+        text = render(fig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 22_100 * 51 - 1
+    assert peak < 1.5 * len(text)
 
 
 def test_render_ascii_staircase():

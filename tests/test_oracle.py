@@ -248,8 +248,12 @@ def test_subsets_full_set():
         assert subsets(n, n) == [tuple(range(1, n + 1))]
 
 
+# each walk with the collector paused: the listing, and the decomposition with one group per element
+PAUSED_WALKS = [(subsets, 20, 10), (decompose_by_leading, 20_000, 1)]
+
+
 def test_subsets_runs_no_collection():
-    # the gen-0 threshold would start about 260 passes at parent settings
+    # at the default thresholds gen 0 would start about 260 passes in the listing and 29 in the 20,000 groups
     passes = []
 
     def hook(phase, info):
@@ -258,11 +262,16 @@ def test_subsets_runs_no_collection():
 
     gc.callbacks.append(hook)
     try:
-        listed = subsets(20, 10)
+        for walk, n, p in PAUSED_WALKS:
+            gc.collect()  # from zero allocations, so that only the walk itself could start a pass
+            passes.clear()
+            walked = walk(n, p)
+            # none in subsets; the decomposition's record is the first allocation once its walk has ended,
+            # so it may start the one pass the walk held back
+            assert len(passes) <= (walk is decompose_by_leading), walk.__name__
+            assert (len(walked) if walk is subsets else walked.total) == math.comb(n, p)
     finally:
         gc.callbacks.remove(hook)
-    assert len(listed) == math.comb(20, 10)
-    assert passes == []
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -272,11 +281,17 @@ def test_subsets_restores_the_collector(enabled):
     try:
         assert len(subsets(12, 6)) == math.comb(12, 6)
         assert gc.isenabled() is enabled
-        with pytest.raises(BudgetExceededError):
-            subsets(20, 10, budget=100)
+        assert decompose_by_leading(12, 6).total == math.comb(12, 6)
         assert gc.isenabled() is enabled
+        for walk, n, p in PAUSED_WALKS:  # refused on the walk's charge
+            with pytest.raises(BudgetExceededError):
+                walk(n, p, budget=100)
+            assert gc.isenabled() is enabled
         with pytest.raises(BudgetExceededError):
             subsets(21, 2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            decompose_by_leading(2, 3)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
