@@ -153,13 +153,8 @@ def cmd_check(args) -> int:
     total = 1
     for var in variables:
         lo, hi = getattr(args, var) or defaults[var]
-        if var in ("n", "m"):
-            if lo < 1:
-                raise UsageError(f"--{var} must start at 1 or above")
-        else:
-            min_p = 0 if args.identity == "recurrence" else core.MIN_ORDER
-            if lo < min_p:
-                raise UsageError(f"--p must start at {min_p} or above for '{args.identity}'")
+        if lo < defaults[var][0]:  # each default range starts at its variable's least value
+            raise UsageError(f"--{var} must start at {defaults[var][0]} or above for '{args.identity}'")
         ranges[var] = (lo, hi)
         total *= hi - lo + 1
     calls, top, bottom = tuple_work(*(hi for _, hi in ranges.values()))  # values grow with n, m and p: the top corner
@@ -204,9 +199,11 @@ def cmd_enum(args) -> int:
     budget = args.budget or DEFAULT_STEP_BUDGET
 
     from . import oracle
+    listed = oracle.subsets(n, p, budget=budget) if args.subsets else []  # refused before any walk
     decomp = oracle.decompose_by_leading(n, p, budget=budget)
     value = core.binomial(n, p)
     lines = [f"C({n}, {p}) = {_format_int(value, args.pretty)}"]
+    lines.extend("{" + ", ".join(map(str, s)) + "}" for s in listed)
     agrees = decomp.total == value
     result = {
         "binomial": value,
@@ -214,8 +211,6 @@ def cmd_enum(args) -> int:
         "reading": {"n": n - p + 1, "p": p - 1},
     }
     if args.subsets:
-        listed = oracle.subsets(n, p, budget=budget)
-        lines.extend("{" + ", ".join(map(str, s)) + "}" for s in listed)
         result["subsets"] = [list(s) for s in listed]
     for leading, count in decomp.groups:
         lines.append(f"leading {leading}: {count}")

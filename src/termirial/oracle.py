@@ -15,7 +15,6 @@ from operator import countOf, itemgetter
 
 from .budget import DEFAULT_STEP_BUDGET, check_budget, check_floor, record, short
 
-MAX_ENUM_N = 20  # subsets holds every subset in a list: C(20, 10) = 184,756 tuples
 # sigma levels summed by one pipeline of C iterators, each nesting a few C calls
 _C_LEVELS = 32
 _CHUNK = 4096  # bounds per stack entry above that pipeline
@@ -27,6 +26,7 @@ _CALL_COST = 150
 # a subset walk's cost in that unit, per subset and per leading-element group, plus one per two index writes: the
 # walk rewrites every index right of the one it steps, C(n+1, p) - 1 in all, n/2 per subset near p = n (README)
 _SUBSET_COST, _GROUP_COST = 4, 115
+_HOLD_COST = 5  # per bit of n in each element of a held subset, and 50 times it per subset: tuple, line, list (README)
 
 
 def termirial_product(n: int, p: int) -> int:
@@ -96,12 +96,13 @@ def _iterated_sum(n: int, p: int, budget: int, what: str) -> int:
     return total
 
 
-def _walk(n: int, p: int, budget: int, consume):
-    """consume(the p-subsets of {1..n}, lazily) once their walk, charged as the constants above say, fits budget,
-    with the cyclic garbage collector paused process-wide (tuples of ints form no cycle) and then restored."""
+def _walk(n: int, p: int, budget: int, consume, hold: int = 0):
+    """consume(the p-subsets of {1..n}, lazily) once their walk, charged as the constants above say and hold more per
+    subset, fits budget, with the cyclic garbage collector paused process-wide (tuples of ints form no cycle) and then
+    restored."""
     what = f"subsets({short(n)}, {short(p)})"
     check_floor(n - p + 1, p, budget, what)  # C(n, p) = C((n-p+1)+p-1, p), refused on a floor past 4,300 digits
-    walk = _SUBSET_COST * math.comb(n, p) + math.comb(n + 1, p) // 2 + _GROUP_COST * max(n - p + 1, 0)
+    walk = (_SUBSET_COST + hold) * math.comb(n, p) + math.comb(n + 1, p) // 2 + _GROUP_COST * max(n - p + 1, 0)
     check_budget(walk, budget, what)
     enabled = gc.isenabled()
     gc.disable()
@@ -115,12 +116,10 @@ def subsets(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int
     """All p-element subsets of {1..n} in lexicographic order.
 
     Each subset is an ascending tuple; the list length is C(n, p).
-    Materialized eagerly, so n is capped at MAX_ENUM_N.
     """
     if n < 0 or p < 0:
         raise ValueError(f"subsets needs n >= 0 and p >= 0, got ({n}, {p})")
-    check_budget(n, MAX_ENUM_N, "eager subset enumeration (n is capped)")
-    return _walk(n, p, budget, list)
+    return _walk(n, p, budget, list, _HOLD_COST * (p * n.bit_length() + 50))
 
 
 class Decomposition(record("Decomposition", "n p groups")):

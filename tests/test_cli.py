@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termirial import cli
+from termirial import cli, oracle
 from termirial.budget import DEFAULT_STEP_BUDGET, BudgetExceededError, value_cost
 from termirial.cli import main
 from termirial.loopnest import LoopSyntaxError
@@ -304,6 +304,23 @@ def test_check_json_summary(capsys):
     assert envelope["checks"] == [{"name": "newton n=1..3 m=1..3 p=-1..2", "pass": True}]
 
 
+# each identity's variables and their least values
+FLOORS = {
+    "pascal": {"n": 1, "p": -1},
+    "newton": {"n": 1, "m": 1, "p": -1},
+    "split1": {"n": 1, "m": 1},
+    "split2": {"n": 1, "m": 1},
+    "recurrence": {"n": 1, "p": 0},
+    "closedform": {"n": 1, "p": -1},
+}
+# a range one below each floor, and its message
+BELOW_FLOOR = {
+    ("check", identity, f"--{var}", str(floor - 1)): f"--{var} must start at {floor} or above for '{identity}'"
+    for identity, floors in FLOORS.items()
+    for var, floor in floors.items()
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -312,11 +329,23 @@ def test_check_json_summary(capsys):
         ["check", "pascal", "--n", "0..5"],
         ["check", "recurrence", "--p", "-1..3"],
         ["check", "nosuch"],
+        *map(list, BELOW_FLOOR),
     ],
 )
 def test_check_usage_errors(argv, capsys):
-    code, _, _ = run_cli(capsys, *argv)
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
+    if tuple(argv) in BELOW_FLOOR:
+        assert err.startswith(f"error: {BELOW_FLOOR[tuple(argv)]}\n")
+
+
+@pytest.mark.parametrize("identity", sorted(FLOORS))
+def test_check_accepts_each_range_from_its_floor(identity, capsys):
+    floors = FLOORS[identity]
+    argv = [arg for var, floor in floors.items() for arg in (f"--{var}", f"{floor}..{floor + 1}")]
+    code, out, _ = run_cli(capsys, "check", identity, *argv)
+    assert code == 0
+    assert out.endswith(f": {2 ** len(floors)} checks, all pass\n")
 
 
 @pytest.mark.parametrize(
@@ -473,11 +502,22 @@ def test_enum_json(capsys):
 
 def test_enum_guards(capsys):
     assert run_cli(capsys, "enum", "25", "2")[0] == 0  # any n whose walk fits the budget
-    assert run_cli(capsys, "enum", "21", "2", "--subsets")[0] == 3  # the listing stops at n = 20
+    code, out, _ = run_cli(capsys, "enum", "21", "2", "--subsets")  # no cap on n: the listing's charge is its guard
+    assert code == 0
+    assert sum(line.startswith("{") for line in out.splitlines()) == 210
+    assert run_cli(capsys, "enum", "21", "10", "--subsets")[0] == 3  # 352,716 subsets to hold
     assert run_cli(capsys, "enum", "1000000", "1")[0] == 3  # 10**6 groups
     assert run_cli(capsys, "enum", "5", "6")[0] == 2
     assert run_cli(capsys, "enum", "5", "0")[0] == 2
     assert run_cli(capsys, "enum", "5", "2", "--budget", "5")[0] == 3
+
+
+def test_enum_refuses_the_listing_before_the_walk(capsys, monkeypatch):
+    # the listing's charge covers the decomposition's walk, so it is made first, and a refused one walks nothing
+    monkeypatch.setattr(oracle, "decompose_by_leading", lambda *args, **kwargs: pytest.fail("walked"))
+    code, out, err = run_cli(capsys, "enum", "828", "2", "--subsets")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: subsets(828, 2): projected ")
 
 
 @pytest.mark.parametrize(("n", "p"), [(2**64 + 1, 1), (2**64 + 1, 2), (2**64 + 1, 500), (10**6, 500)])
@@ -683,13 +723,16 @@ def test_fractal_exit_codes(capsys):
 
 # tools/extremes.py's text-mode fractal and enum cases, which its subprocess runs time out of tier-1
 EXTREME_FIGURES = [argv for argv, _ in extremes.cases() if argv[0] in ("fractal", "enum") and "--json" not in argv]
+# the largest subset listings the default budget accepts, each about a second of work by design (0.8 s in-process
+# for enum 20 10 --subsets, which the budget must accept), in text and --json
+LISTINGS_AT_THE_EDGE = {("enum", str(n), str(p)) for n, p in extremes.LISTING_EDGES}
 
 
 @pytest.mark.parametrize("argv", EXTREME_FIGURES, ids=map(extremes.label, EXTREME_FIGURES))
 def test_extreme_fractal_and_enum_cases_end_fast(argv, capsys):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < (2.5 if tuple(argv[:3]) in LISTINGS_AT_THE_EDGE else 1)
     assert code in (0, 2, 3), err
 
 
@@ -704,7 +747,7 @@ PRINTS_200K_DIGITS = {("eval", "9" * 400, "500"), ("fractal", "9" * 400, "500")}
 def test_every_other_extreme_case_ends_fast(argv, stdin, capsys, monkeypatch):
     start = time.perf_counter()
     code, _, err = run_cli_stdin(capsys, monkeypatch, stdin, *argv)
-    limit = 2.5 if tuple(argv[:3]) in PRINTS_200K_DIGITS else 1
+    limit = 2.5 if tuple(argv[:3]) in PRINTS_200K_DIGITS | LISTINGS_AT_THE_EDGE else 1
     assert time.perf_counter() - start < limit
     assert code in (0, 2, 3), err
     assert "Traceback" not in err

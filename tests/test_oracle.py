@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termirial import oracle
-from termirial.budget import DIGIT_CAP, BudgetExceededError
+from termirial.budget import DEFAULT_STEP_BUDGET, DIGIT_CAP, BudgetExceededError
 from termirial.core import binomial, termirial, termirial_p
 from termirial.oracle import decompose_by_leading, nested_sum, subsets, termirial_product
 
@@ -288,7 +288,7 @@ def test_subsets_restores_the_collector(enabled):
                 walk(n, p, budget=100)
             assert gc.isenabled() is enabled
         with pytest.raises(BudgetExceededError):
-            subsets(21, 2)
+            subsets(21, 10)  # refused on the held subsets' charge at the default budget
         assert gc.isenabled() is enabled
         with pytest.raises(ValueError):
             decompose_by_leading(2, 3)
@@ -298,8 +298,9 @@ def test_subsets_restores_the_collector(enabled):
 
 
 def test_subsets_guards():
+    assert len(subsets(21, 2)) == 210  # no cap on n: the walk's charge is the one guard
     with pytest.raises(BudgetExceededError):
-        subsets(21, 2)
+        subsets(21, 10)
     with pytest.raises(BudgetExceededError):
         subsets(20, 10, budget=100)
     with pytest.raises(ValueError):
@@ -353,15 +354,16 @@ def test_decompose_domain():
 
 
 def test_decompose_guards():
-    assert decompose_by_leading(21, 2).total == 210  # past the listing's n = 20: the walk holds no subset
+    assert decompose_by_leading(21, 2).total == 210 == len(subsets(21, 2))
+    assert decompose_by_leading(21, 10).total == math.comb(21, 10)  # the walk holds no subset, the listing would
     with pytest.raises(BudgetExceededError):
-        subsets(21, 2)
+        subsets(21, 10)
     with pytest.raises(BudgetExceededError):
         decompose_by_leading(20, 10, budget=100)
 
 
 def test_decompose_counts_formula_up_to_thirty():
-    # past the listing's cap of 20, wherever the walk stays small
+    # wherever the walk stays small
     for n in range(13, 31):
         for p in range(1, n + 1):
             if binomial(n, p) <= 10**5:
@@ -383,6 +385,24 @@ def test_decompose_charges_each_subset_each_group_and_each_index_write():
     assert decompose_by_leading(2000, 1999, budget=projected).counts == [1999, 1]
     with pytest.raises(BudgetExceededError):
         decompose_by_leading(2000, 1999, budget=projected - 1)
+
+
+def test_subsets_charge_the_walk_and_each_held_subset_by_its_elements_and_the_bits_of_n():
+    # the walk's projection plus oracle._HOLD_COST per bit of n in each element, and 50 times it, of each subset
+    projected = (4 + 5 * (2 * 5 + 50)) * 300 + math.comb(26, 2) // 2 + 115 * 24
+    with pytest.raises(BudgetExceededError) as caught:
+        subsets(25, 2, budget=1)
+    assert caught.value.projected == projected
+    assert str(caught.value) == f"subsets(25, 2): projected {projected} exceeds budget 1"
+    assert len(subsets(25, 2, budget=projected)) == 300
+    with pytest.raises(BudgetExceededError):
+        subsets(25, 2, budget=projected - 1)
+    # the default budget takes C(20, p) for p = 9, 10 and 11, and refuses C(21, 10)
+    for n, p, projected in [(20, 9, 80_601_185), (20, 10, 93_294_647), (20, 11, 89_028_348), (21, 10, 178_093_567)]:
+        with pytest.raises(BudgetExceededError) as caught:
+            subsets(n, p, budget=1)
+        assert caught.value.projected == projected
+        assert (projected <= DEFAULT_STEP_BUDGET) is (n == 20)
 
 
 @pytest.mark.parametrize(("n", "p"), [(100_000, 99_999), (6000, 5998), (10**6, 999_999)])

@@ -1,4 +1,4 @@
-"""Run a fixed grid of 220 extreme command lines and flag the ones that misbehave.
+"""Run a fixed grid of 236 extreme command lines and flag the ones that misbehave.
 
     python3 tools/extremes.py [--checkout PATH]
 
@@ -6,18 +6,21 @@ Each case is one `python -m termirial ...` process on the checkout's src/
 (this repository by default), run at most two at a time and killed after
 10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
 `enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
-500, 10^4}, in text and under `--json` (200 cases), and adds twenty
+500, 10^4}, in text and under `--json` (200 cases), and adds 36
 more: a large `check pascal` sweep, a `check split1` sweep of 1,001,000
 tuples, one large `check recurrence` tuple, `eval <100 digits> 10000` in
 text and `--json`, five small figures of high order (`fractal 4 250
 --report-only`, `fractal 3 500 --report-only`, `fractal 2 501`, and the
 text renders `fractal 4 250` and `fractal 3 500`, whose bands are the
-shortest, so each row is composed from the most pieces), six
-subset walks past the listing's n = 20 (`enum 25 2`, `enum 100000 1`,
-`enum 30 15`, `enum 21 2 --subsets`, and `enum 100000 99999` and `enum
-6000 5998`, whose few subsets take about C(n+1, p) index writes), a
-3,000-deep chain of loops with a 1,000-digit n in text and `--json` and
-with `--n <400 digits>`, and a loop file with a 5,000-digit literal.
+shortest, so each row is composed from the most pieces), six large
+subset walks (`enum 25 2`, `enum 100000 1`, `enum 30 15`, `enum 21 2
+--subsets`, and `enum 100000 99999` and `enum 6000 5998`, whose few
+subsets take about C(n+1, p) index writes), fifteen `--subsets` listings
+at the default budget's edge (for p in {1, 2, 10, 100} and for n = p,
+the largest n accepted, in text and `--json`, and the next n, refused)
+and `enum 1000000 1 --subsets`, a 3,000-deep chain of loops with a
+1,000-digit n in text and `--json` and with `--n <400 digits>`, and a
+loop file with a 5,000-digit literal.
 
 One line per case gives the exit code (`timeout` when killed), the seconds
 taken, `TRACEBACK` when stderr holds one, `FLAGGED` when the case exited
@@ -45,6 +48,8 @@ EXPECTED_EXITS = {0, 2, 3}
 N_VALUES = [0, 1, 10**6, 10**400 - 1, 10**4300 - 1]
 P_VALUES = [-1, 0, 1, 500, 10**4]
 COMMANDS = [["eval"], ["fractal"], ["fractal", "--report-only"], ["enum"]]
+# (n, p) of the largest subset listing the default budget accepts, for p in {1, 2, 10, 100} and for n = p
+LISTING_EDGES = [(217627, 1), (751, 2), (20, 10), (102, 100), (995021, 995021)]
 
 
 def _chain(depth: int) -> str:
@@ -77,7 +82,11 @@ def cases() -> list[tuple[list[str], str]]:
         ["enum", "21", "2", "--subsets"],
         ["enum", "100000", "99999"],
         ["enum", "6000", "5998"],
+        ["enum", "1000000", "1", "--subsets"],
     ]
+    for n, p in LISTING_EDGES:
+        grid += [["enum", str(n), str(p), "--subsets", *json] for json in ([], ["--json"])]
+        grid.append(["enum", str(n + 1), str(p + (p == n)), "--subsets"])
     deep = _chain(3000)
     loops = [
         (["loops"], "n = " + "9" * 1000 + "\n" + deep),
