@@ -200,22 +200,25 @@ def cmd_enum(args) -> int:
 
     from . import oracle
     listed = oracle.subsets(n, p, budget=budget) if args.subsets else []  # refused before any walk
-    decomp = oracle.decompose_by_leading(n, p, budget=budget)
+    groups = oracle.decompose_by_leading(n, p, budget=budget).groups
     value = core.binomial(n, p)
-    lines = [f"C({n}, {p}) = {_format_int(value, args.pretty)}"]
-    lines.extend("{" + ", ".join(map(str, s)) + "}" for s in listed)
-    agrees = decomp.total == value
+    counts = [count for _, count in groups]
+    total = sum(counts)
+    agrees = total == value
     result = {
         "binomial": value,
-        "groups": decomp.groups,  # pairs, which json writes as lists
+        "groups": groups,  # pairs, which json writes as lists
         "reading": {"n": n - p + 1, "p": p - 1},
     }
     if args.subsets:
-        result["subsets"] = [list(s) for s in listed]
-    for leading, count in decomp.groups:
-        lines.append(f"leading {leading}: {count}")
-    lines.append(f"decomposition: {' + '.join(map(str, decomp.counts))} = {decomp.total}")
-    lines.append(f"termirial reading: C({n}, {p}) = termirial_p({n - p + 1}, {p - 1}) = {value}")
+        result["subsets"] = listed  # tuples, written as lists too
+    lines = [] if args.json else [
+        f"C({n}, {p}) = {_format_int(value, args.pretty)}",
+        *("{" + ", ".join(map(str, s)) + "}" for s in listed),
+        *(f"leading {leading}: {count}" for leading, count in groups),
+        f"decomposition: {' + '.join(map(str, counts))} = {total}",
+        f"termirial reading: C({n}, {p}) = termirial_p({n - p + 1}, {p - 1}) = {value}",
+    ]
     checks = [{"name": "group counts sum to the binomial coefficient", "pass": agrees}]
     _emit(args, "enum", {"n": n, "p": p, "subsets": args.subsets}, result, checks, lines)
     return EXIT_OK if agrees else EXIT_CHECK_FAILED

@@ -14,7 +14,8 @@ the surface ratio of consecutive orders is 4*(n+p)/(p+1), which falls to
 
 import math
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from operator import iadd
 
 from .budget import DEFAULT_CELL_BUDGET, check_budget, check_floor, record
 from .core import termirial_p
@@ -49,20 +50,21 @@ def build(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> FractalFigure:
     what = f"grey cells of figure ({{n}}, {p})"
     check_floor(n, p + 1, budget, what)  # termirial_p(n, p) = C(n+p, p+1), a floor first
     check_budget(termirial_p(n, p), budget, what.format(n=n))
-    return FractalFigure(n=n, p=p, rows=(n,) if p == 0 else _compose(tuple(range(1, n + 1)), p))
+    return FractalFigure(n=n, p=p, rows=(n,) if p == 0 else tuple(_compose(tuple(range(1, n + 1)), p)))
 
 
 def _compose(seq, p: int, rows=None):
     """seq, the n order-1 rows bottom first (lengths or lines), composed to order p: past p's leading bit, each bit
     composes order q with itself, and a 1 bit then with order 1.  Each row k of rows(n, a), read from the top of
-    rows (or of the composed lengths when rows is None), becomes rows(k, q).  The result has seq's type."""
+    rows (or of the composed lengths when rows is None), becomes rows(k, q).  Each step extends one list by its
+    prefix slices, a pointer copy in C per slice, so the result is a list (seq itself at p = 1)."""
     n, q = len(seq), 1
     for bit in bin(p)[3:]:
         for a in (q, 1)[: 1 + int(bit)]:
             tops = (seq[: math.comb(k + q - 1, q)] for k in range(n + 1))  # rows(k, q), each once
             if a > 1:  # rows(n, a) repeats lengths, so each prefix is sliced once
                 tops = map(list(tops).__getitem__, (seq if rows is None else rows)[-len(seq) :])
-            seq, q = type(seq)(chain.from_iterable(tops)), q + a
+            seq, q = reduce(iadd, tops, []), q + a
     return seq
 
 
@@ -112,7 +114,7 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
     Output is deterministic: '#' for grey and '.' for empty in ASCII, top
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
     ASCII composes the lines of the top n rows as build composes their
-    lengths and joins once; each SVG column is one join.
+    lengths and joins once; SVG joins each column's cells once, then the document.
     """
     if fmt == "ascii":  # the top n rows are the n order-1 rows, or at order 0 the one row of any width
         lines = _compose(["#" * k + "." * (fig.n - k) for k in fig.rows[-fig.n :]], fig.p, fig.rows)
@@ -126,7 +128,7 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
 def _render_svg(fig: FractalFigure) -> str:
     width = fig.width * SVG_CELL_PX
     height = fig.height * SVG_CELL_PX
-    lines = [
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">'
     ]
@@ -138,7 +140,7 @@ def _render_svg(fig: FractalFigure) -> str:
     tail = f'" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
     for x, pys in enumerate(columns):
         if pys:
-            head = f'  <rect x="{x * SVG_CELL_PX}" y="'
-            lines.append(head + f"{tail}\n{head}".join(pys) + tail)
-    lines.append("</svg>")
-    return "\n".join(lines)
+            head = f'\n  <rect x="{x * SVG_CELL_PX}" y="'
+            parts += head, (tail + head).join(pys), tail
+    parts.append("\n</svg>")
+    return "".join(parts)

@@ -26,7 +26,8 @@ _CALL_COST = 150
 # a subset walk's cost in that unit, per subset and per leading-element group, plus one per two index writes: the
 # walk rewrites every index right of the one it steps, C(n+1, p) - 1 in all, n/2 per subset near p = n (README)
 _SUBSET_COST, _GROUP_COST = 4, 115
-_HOLD_COST = 5  # per bit of n in each element of a held subset, and 50 times it per subset: tuple, line, list (README)
+_POOL_COST = 100  # per element of the pool combinations copies {1..n} into: its int, its slot, an index (README)
+_HOLD_COST = 5  # per bit of n in each element of a held subset, and 50 times it per subset: tuple and text (README)
 
 
 def termirial_product(n: int, p: int) -> int:
@@ -103,6 +104,7 @@ def _walk(n: int, p: int, budget: int, consume, hold: int = 0):
     what = f"subsets({short(n)}, {short(p)})"
     check_floor(n - p + 1, p, budget, what)  # C(n, p) = C((n-p+1)+p-1, p), refused on a floor past 4,300 digits
     walk = (_SUBSET_COST + hold) * math.comb(n, p) + math.comb(n + 1, p) // 2 + _GROUP_COST * max(n - p + 1, 0)
+    walk += _POOL_COST * n
     check_budget(walk, budget, what)
     enabled = gc.isenabled()
     gc.disable()
@@ -131,14 +133,6 @@ class Decomposition(record("Decomposition", "n p groups")):
     """
 
     __slots__ = ()
-
-    @property
-    def counts(self) -> list[int]:
-        return [count for _, count in self.groups]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def decompose_by_leading(n: int, p: int, budget: int = DEFAULT_STEP_BUDGET) -> Decomposition:

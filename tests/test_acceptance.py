@@ -103,11 +103,11 @@ def test_pascal_rule_and_remarkable_identities():
 
 def test_subset_decompositions():
     pair = decompose_by_leading(5, 2)
-    assert pair.counts == [4, 3, 2, 1]
-    assert pair.total == 10
+    assert pair.groups == ((1, 4), (2, 3), (3, 2), (4, 1))
+    assert sum(count for _, count in pair.groups) == 10
     triple = decompose_by_leading(5, 3)
-    assert triple.counts == [6, 3, 1]
-    assert triple.total == 10
+    assert triple.groups == ((1, 6), (2, 3), (3, 1))
+    assert sum(count for _, count in triple.groups) == 10
     for n in range(0, 13):
         for p in range(0, n + 1):
             assert len(subsets(n, p)) == binomial(n, p), (n, p)

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -97,3 +98,31 @@ def test_each_side_records_the_code_it_measured(tmp_path):
     digest = hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
     assert bench_pairs.checkout_code(str(tmp_path)) == f"{head}+dirty:{digest}"
     assert bench_pairs.checkout_code(str(tmp_path / "sub")) == "unknown"  # missing, or inside another repository
+
+
+def _bench(cpu_model: str, median: float) -> dict:
+    verdict = {"change": {"median": median}}
+    return {"cpu_model": cpu_model, "python": "3.11.7", "nproc": 2, "workloads": {"figures": {"op_tail_ms": verdict}}}
+
+
+def test_the_trajectory_reads_the_latest_file_from_the_same_host(tmp_path):
+    for label, cpu_model, median in [("3", "Xeon", 3.0), ("10", "Xeon", 2.0), ("10b", "Xeon", 1.6), ("12", "EPYC", 1.0)]:
+        (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(_bench(cpu_model, median)))
+    path = tmp_path / "BENCH_11.json"
+    report = _bench("Xeon", 1.2)
+    path.write_text(json.dumps(report))
+    # 10b is the latest label from the same host (10 < 10b, and 3 < 10 by number); 12 ran on another CPU
+    assert bench_pairs.trajectory(str(path), report) == [
+        "change-side medians against BENCH_10b.json's:",
+        "  figures op_tail_ms: 1.2 against 1.6 (0.750x)",
+    ]
+
+
+def test_the_trajectory_says_when_no_file_is_from_the_same_host(tmp_path):
+    (tmp_path / "BENCH_12.json").write_text(json.dumps(_bench("EPYC", 1.0)))
+    path = tmp_path / "BENCH_13.json"
+    report = _bench("Xeon", 1.2)
+    path.write_text(json.dumps(report))
+    assert bench_pairs.trajectory(str(path), report) == [
+        "no other BENCH_*.json ran on cpu_model Xeon, python 3.11.7, nproc 2"
+    ]

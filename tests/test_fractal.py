@@ -289,6 +289,19 @@ def test_render_peaks_near_its_output():
     assert peak < 1.5 * len(text)
 
 
+@pytest.mark.parametrize(("n", "p"), [(50, 3), (4, 60), (3, 500)])
+def test_build_peaks_near_two_pointers_per_row(n, p):
+    # each step extends one list, and build copies the last into the figure's tuple: about 16 B per row at peak
+    build(n, p)
+    tracemalloc.start()
+    try:
+        fig = build(n, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(fig.rows)
+
+
 def test_render_ascii_staircase():
     assert render(build(4, 1)) == "####\n###.\n##..\n#..."
 

@@ -18,6 +18,10 @@ from termirial.core import binomial, termirial, termirial_p
 from termirial.oracle import decompose_by_leading, nested_sum, subsets, termirial_product
 
 
+def counts(decomposition):
+    return [count for _, count in decomposition.groups]
+
+
 def test_oracle_imports_nothing_from_core():
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     imported = []
@@ -269,7 +273,7 @@ def test_subsets_runs_no_collection():
             # none in subsets; the decomposition's record is the first allocation once its walk has ended,
             # so it may start the one pass the walk held back
             assert len(passes) <= (walk is decompose_by_leading), walk.__name__
-            assert (len(walked) if walk is subsets else walked.total) == math.comb(n, p)
+            assert (len(walked) if walk is subsets else sum(counts(walked))) == math.comb(n, p)
     finally:
         gc.callbacks.remove(hook)
 
@@ -281,7 +285,7 @@ def test_subsets_restores_the_collector(enabled):
     try:
         assert len(subsets(12, 6)) == math.comb(12, 6)
         assert gc.isenabled() is enabled
-        assert decompose_by_leading(12, 6).total == math.comb(12, 6)
+        assert sum(counts(decompose_by_leading(12, 6))) == math.comb(12, 6)
         assert gc.isenabled() is enabled
         for walk, n, p in PAUSED_WALKS:  # refused on the walk's charge
             with pytest.raises(BudgetExceededError):
@@ -309,16 +313,16 @@ def test_subsets_guards():
 
 def test_decompose_pair_and_triple_examples():
     pair = decompose_by_leading(5, 2)
-    assert pair.counts == [4, 3, 2, 1]
-    assert pair.total == 10
+    assert counts(pair) == [4, 3, 2, 1]
+    assert sum(counts(pair)) == 10
     triple = decompose_by_leading(5, 3)
-    assert triple.counts == [6, 3, 1]
-    assert triple.total == 10
+    assert counts(triple) == [6, 3, 1]
+    assert sum(counts(triple)) == 10
 
 
 def test_decompose_singletons():
     d = decompose_by_leading(6, 1)
-    assert d.counts == [1] * 6
+    assert counts(d) == [1] * 6
     assert d.groups == tuple((s, 1) for s in range(1, 7))
 
 
@@ -328,22 +332,22 @@ def test_decompose_counts_formula():
         for p in range(2, n + 1):
             d = decompose_by_leading(n, p)
             assert [lead for lead, _ in d.groups] == list(range(1, n - p + 2))
-            assert d.counts == [binomial(n - s, p - 1) for s in range(1, n - p + 2)]
-            assert d.total == binomial(n, p)
+            assert counts(d) == [binomial(n - s, p - 1) for s in range(1, n - p + 2)]
+            assert sum(counts(d)) == binomial(n, p)
 
 
 def test_pair_decomposition_is_a_triangular_cascade():
     for n in range(2, 13):
         d = decompose_by_leading(n, 2)
-        assert d.counts == [termirial_p(k, 0) for k in range(n - 1, 0, -1)]
-        assert d.total == termirial(n - 1)
+        assert counts(d) == [termirial_p(k, 0) for k in range(n - 1, 0, -1)]
+        assert sum(counts(d)) == termirial(n - 1)
 
 
 def test_triple_decomposition_is_a_tetrahedral_cascade():
     for n in range(3, 13):
         d = decompose_by_leading(n, 3)
-        assert d.counts == [termirial_p(k, 1) for k in range(n - 2, 0, -1)]
-        assert d.total == termirial_p(n - 2, 2)
+        assert counts(d) == [termirial_p(k, 1) for k in range(n - 2, 0, -1)]
+        assert sum(counts(d)) == termirial_p(n - 2, 2)
 
 
 def test_decompose_domain():
@@ -354,8 +358,8 @@ def test_decompose_domain():
 
 
 def test_decompose_guards():
-    assert decompose_by_leading(21, 2).total == 210 == len(subsets(21, 2))
-    assert decompose_by_leading(21, 10).total == math.comb(21, 10)  # the walk holds no subset, the listing would
+    assert sum(counts(decompose_by_leading(21, 2))) == 210 == len(subsets(21, 2))
+    assert sum(counts(decompose_by_leading(21, 10))) == math.comb(21, 10)  # the walk holds no subset, the listing would
     with pytest.raises(BudgetExceededError):
         subsets(21, 10)
     with pytest.raises(BudgetExceededError):
@@ -368,28 +372,28 @@ def test_decompose_counts_formula_up_to_thirty():
         for p in range(1, n + 1):
             if binomial(n, p) <= 10**5:
                 d = decompose_by_leading(n, p)
-                assert d.counts == [binomial(n - s, p - 1) for s in range(1, n - p + 2)]
-                assert d.total == binomial(n, p)
+                assert counts(d) == [binomial(n - s, p - 1) for s in range(1, n - p + 2)]
+                assert sum(counts(d)) == binomial(n, p)
 
 
 def test_decompose_charges_each_subset_each_group_and_each_index_write():
     # the walk's projection: oracle._SUBSET_COST per subset, one unit per two of the C(n+1, p) - 1 index writes,
-    # and oracle._GROUP_COST per leading element
+    # oracle._GROUP_COST per leading element and oracle._POOL_COST per element of {1..n}
     with pytest.raises(BudgetExceededError) as caught:
         decompose_by_leading(25, 2, budget=1)
-    projected = 4 * 300 + math.comb(26, 2) // 2 + 115 * 24
+    projected = 4 * 300 + math.comb(26, 2) // 2 + 115 * 24 + 100 * 25
     assert caught.value.projected == projected
     assert str(caught.value) == f"subsets(25, 2): projected {projected} exceeds budget 1"
     # near p = n each step rewrites up to n - 1 indices: 2,000 subsets, 2,000,999 writes
-    projected = 4 * 2000 + math.comb(2001, 1999) // 2 + 115 * 2
-    assert decompose_by_leading(2000, 1999, budget=projected).counts == [1999, 1]
+    projected = 4 * 2000 + math.comb(2001, 1999) // 2 + 115 * 2 + 100 * 2000
+    assert counts(decompose_by_leading(2000, 1999, budget=projected)) == [1999, 1]
     with pytest.raises(BudgetExceededError):
         decompose_by_leading(2000, 1999, budget=projected - 1)
 
 
 def test_subsets_charge_the_walk_and_each_held_subset_by_its_elements_and_the_bits_of_n():
     # the walk's projection plus oracle._HOLD_COST per bit of n in each element, and 50 times it, of each subset
-    projected = (4 + 5 * (2 * 5 + 50)) * 300 + math.comb(26, 2) // 2 + 115 * 24
+    projected = (4 + 5 * (2 * 5 + 50)) * 300 + math.comb(26, 2) // 2 + 115 * 24 + 100 * 25
     with pytest.raises(BudgetExceededError) as caught:
         subsets(25, 2, budget=1)
     assert caught.value.projected == projected
@@ -398,11 +402,26 @@ def test_subsets_charge_the_walk_and_each_held_subset_by_its_elements_and_the_bi
     with pytest.raises(BudgetExceededError):
         subsets(25, 2, budget=projected - 1)
     # the default budget takes C(20, p) for p = 9, 10 and 11, and refuses C(21, 10)
-    for n, p, projected in [(20, 9, 80_601_185), (20, 10, 93_294_647), (20, 11, 89_028_348), (21, 10, 178_093_567)]:
+    for n, p, projected in [(20, 9, 80_603_185), (20, 10, 93_296_647), (20, 11, 89_030_348), (21, 10, 178_095_667)]:
         with pytest.raises(BudgetExceededError) as caught:
             subsets(n, p, budget=1)
         assert caught.value.projected == projected
         assert (projected <= DEFAULT_STEP_BUDGET) is (n == 20)
+
+
+def test_the_walk_charges_the_pool_that_combinations_copies():
+    # at p = n the walk writes about n/2 indices but holds n ints in its pool, about 56 B each with the index and
+    # the subset's slot: 2 * 10**8 of them would take some 11 GB, so the pool's charge refuses them at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        decompose_by_leading(199_999_000, 199_999_000)
+    assert time.perf_counter() - start < 0.1
+    assert caught.value.projected == 4 + 199_999_001 // 2 + 115 + 100 * 199_999_000
+    # the largest p = n walk the default budget takes, and the next
+    for n, fits in [(995_023, True), (995_024, False)]:
+        with pytest.raises(BudgetExceededError) as caught:
+            decompose_by_leading(n, n, budget=0)
+        assert (caught.value.projected <= DEFAULT_STEP_BUDGET) is fits
 
 
 @pytest.mark.parametrize(("n", "p"), [(100_000, 99_999), (6000, 5998), (10**6, 999_999)])

@@ -19,6 +19,12 @@ BENCHMARK.json read as a fraction of the parent's median: "worse" when the
 change's median is worse than the parent's by more than that fraction;
 otherwise "unresolved" when the parent's quartile spread is wider than it
 and not every change run beats every parent run; otherwise "no worse".
+
+After writing the file it prints the trajectory: each change-side median
+against that of the latest other BENCH_*.json beside it that ran on the
+same CPU model, Python version and CPU count, latest by label (its leading
+number, then the rest: 19 < 19b < 20), or says that no file matches.
+Medians from different hosts would differ by the host, not by the code.
 """
 
 import argparse
@@ -91,6 +97,41 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+HOST_KEYS = ("cpu_model", "python", "nproc")
+
+
+def label_order(name: str) -> tuple[int, str]:
+    """BENCH_<label>.json ordered by the label's leading number, then the rest; -1 when it has none."""
+    label = name.removeprefix("BENCH_").removesuffix(".json")
+    digits = len(label) - len(label.lstrip("0123456789"))
+    return int(label[:digits] or -1), label[digits:]
+
+
+def trajectory(path: str, report: dict) -> list[str]:
+    """Lines comparing report's change-side medians with the latest other BENCH_*.json beside path from its host."""
+    folder, name = os.path.split(path)
+    host = [report[key] for key in HOST_KEYS]
+    same = []
+    for other in os.listdir(folder):
+        if other.startswith("BENCH_") and other.endswith(".json") and other != name:
+            with open(os.path.join(folder, other), encoding="utf-8") as handle:
+                earlier = json.load(handle)
+            if [earlier.get(key) for key in HOST_KEYS] == host:
+                same.append((label_order(other), other, earlier))
+    if not same:
+        return ["no other BENCH_*.json ran on " + ", ".join(f"{key} {value}" for key, value in zip(HOST_KEYS, host))]
+    _, other, earlier = max(same, key=lambda entry: entry[:2])
+    lines = [f"change-side medians against {other}'s:"]
+    for workload, metrics in report["workloads"].items():
+        for metric, verdict in metrics.items():
+            before = earlier["workloads"].get(workload, {}).get(metric)
+            if before:
+                now, then = verdict["change"]["median"], before["change"]["median"]
+                ratio = f" ({now / then:.3f}x)" if then else ""
+                lines.append(f"  {workload} {metric}: {now:.6g} against {then:.6g}{ratio}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -148,6 +189,7 @@ def main() -> int:
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {path}")
+    print("\n".join(trajectory(path, report)))
     return 0
 
 

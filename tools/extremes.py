@@ -1,4 +1,4 @@
-"""Run a fixed grid of 236 extreme command lines and flag the ones that misbehave.
+"""Run a fixed grid of 238 extreme command lines and flag the ones that misbehave.
 
     python3 tools/extremes.py [--checkout PATH]
 
@@ -6,7 +6,7 @@ Each case is one `python -m termirial ...` process on the checkout's src/
 (this repository by default), run at most two at a time and killed after
 10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
 `enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
-500, 10^4}, in text and under `--json` (200 cases), and adds 36
+500, 10^4}, in text and under `--json` (200 cases), and adds 38
 more: a large `check pascal` sweep, a `check split1` sweep of 1,001,000
 tuples, one large `check recurrence` tuple, `eval <100 digits> 10000` in
 text and `--json`, five small figures of high order (`fractal 4 250
@@ -15,9 +15,12 @@ text renders `fractal 4 250` and `fractal 3 500`, whose bands are the
 shortest, so each row is composed from the most pieces), six large
 subset walks (`enum 25 2`, `enum 100000 1`, `enum 30 15`, `enum 21 2
 --subsets`, and `enum 100000 99999` and `enum 6000 5998`, whose few
-subsets take about C(n+1, p) index writes), fifteen `--subsets` listings
-at the default budget's edge (for p in {1, 2, 10, 100} and for n = p,
-the largest n accepted, in text and `--json`, and the next n, refused)
+subsets take about C(n+1, p) index writes), the largest p = n walk the
+default budget accepts (`enum 995023 995023`) and one whose pool of n
+ints would take some 11 GB (`enum 199999000 199999000`), fifteen
+`--subsets` listings at the default budget's edge (for p in {1, 2, 10,
+100} and for n = p, the largest n accepted, in text and `--json`, and the
+next n, refused)
 and `enum 1000000 1 --subsets`, a 3,000-deep chain of loops with a
 1,000-digit n in text and `--json` and with `--n <400 digits>`, and a
 loop file with a 5,000-digit literal.
@@ -49,7 +52,7 @@ N_VALUES = [0, 1, 10**6, 10**400 - 1, 10**4300 - 1]
 P_VALUES = [-1, 0, 1, 500, 10**4]
 COMMANDS = [["eval"], ["fractal"], ["fractal", "--report-only"], ["enum"]]
 # (n, p) of the largest subset listing the default budget accepts, for p in {1, 2, 10, 100} and for n = p
-LISTING_EDGES = [(217627, 1), (751, 2), (20, 10), (102, 100), (995021, 995021)]
+LISTING_EDGES = [(178731, 1), (751, 2), (20, 10), (102, 100), (511507, 511507)]
 
 
 def _chain(depth: int) -> str:
@@ -83,6 +86,8 @@ def cases() -> list[tuple[list[str], str]]:
         ["enum", "100000", "99999"],
         ["enum", "6000", "5998"],
         ["enum", "1000000", "1", "--subsets"],
+        ["enum", "995023", "995023"],
+        ["enum", "199999000", "199999000"],
     ]
     for n, p in LISTING_EDGES:
         grid += [["enum", str(n), str(p), "--subsets", *json] for json in ([], ["--json"])]
