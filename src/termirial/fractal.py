@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import iadd
 
-from .budget import DEFAULT_CELL_BUDGET, check_budget, check_floor, record
+from .budget import DEFAULT_CELL_BUDGET, check_budget, check_floor, floor_bits, record
 from .core import termirial_p
 
 SVG_CELL_PX = 10
@@ -85,20 +85,18 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
     """Surface ratio of the (n, p) figure against the (n, p-1) figure.
 
     Within the cell budget the ratio is measured from two built figures
-    and must equal the closed form exactly as rationals; past the budget
-    only the closed form is reported, which is what makes large-order
-    dimension estimates cheap.
+    and must equal the closed form exactly as rationals; past the budget,
+    which n or the count's bit-length floor shows before the count is made,
+    only the closed form is reported, so large-order estimates are cheap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if p < 1:
         raise ValueError(f"the ratio compares order p to p-1, so p must be >= 1, got {p}")
     closed = Fraction(4 * (n + p), p + 1)
-    measured = n <= budget and termirial_p(n, p) <= budget  # the count is >= n
+    measured = n <= budget and floor_bits(n + p, p + 1) < budget.bit_length() and termirial_p(n, p) <= budget
     if measured:
-        fine = build(n, p, budget=budget)
-        coarse = build(n, p - 1, budget=budget)
-        measured_ratio = 4 * Fraction(sum(fine.rows), sum(coarse.rows))
+        measured_ratio = 4 * Fraction(sum(build(n, p, budget=budget).rows), sum(build(n, p - 1, budget=budget).rows))
         if measured_ratio != closed:
             raise AssertionError(f"measured ratio {measured_ratio} != closed form {closed} at ({n}, {p})")
     try:
@@ -113,11 +111,15 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
 
     Output is deterministic: '#' for grey and '.' for empty in ASCII, top
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
-    ASCII composes the lines of the top n rows as build composes their
-    lengths and joins once; SVG joins each column's cells once, then the document.
+    ASCII composes the lines of the top n rows as build composes their lengths, or at 2 < p < n the n staircase
+    texts to order p-1, and joins once; SVG joins each column's cells once, then the document.
     """
     if fmt == "ascii":  # the top n rows are the n order-1 rows, or at order 0 the one row of any width
-        lines = _compose(["#" * k + "." * (fig.n - k) for k in fig.rows[-fig.n :]], fig.p, fig.rows)
+        lines, p = ["#" * k + "." * (fig.n - k) for k in fig.rows[-fig.n :]], fig.p
+        if 2 < p < fig.n:  # row j of order p-1 becomes staircase rows(j, 1): top first, the order-1 text's last j lines
+            text = "\n".join(reversed(lines))
+            lines, p = [text[i:] for i in range(len(text) - fig.n, -1, -fig.n - 1)], p - 1
+        lines = _compose(lines, p, fig.rows)
         lines.reverse()
         return "\n".join(lines)
     if fmt == "svg":

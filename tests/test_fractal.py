@@ -103,10 +103,15 @@ def _max_order(n: int, cells: int) -> int:
 
 
 @settings(deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, _max_order(n, 2 * 10**5)))))
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, _max_order(n, 2 * 10**5)))))
 @example((2, 501))
 @example((3, 500))
 @example((4, 60))
+@example((50, 3))  # 2 < p < n: the render composes staircase texts to order p-1
+@example((30, 4))
+@example((5, 4))
+@example((4, 5))  # p >= n: the render composes lines
+@example((6, 6))
 def test_render_is_the_rows_line_by_line(shape):
     n, p = shape
     fig = build(n, p)
@@ -251,6 +256,16 @@ def test_report_past_the_budget_skips_the_exact_count():
     assert rep.dimension_estimate == math.log2(rep.ratio.numerator) - math.log2(rep.ratio.denominator)
 
 
+@pytest.mark.parametrize("p", [10**6, 3 * 10**5])
+def test_report_skips_the_count_past_its_floor(p):
+    # n fits the budget, but C(n+p, p+1) has some 10^6 bits: its bit-length floor refuses it before it is made
+    start = time.perf_counter()
+    rep = surface_report(10**6, p)
+    assert time.perf_counter() - start < 0.1
+    assert not rep.measured
+    assert rep.ratio == Fraction(4 * (10**6 + p), p + 1)
+
+
 def test_report_domain():
     with pytest.raises(ValueError):
         surface_report(4, 0)
@@ -276,16 +291,17 @@ def test_render_a_single_long_row():
     assert render(build(2_000, 0), "svg") == oracle_svg(oracle_cells(2_000, 0))
 
 
-def test_render_peaks_near_its_output():
-    # the lines are composed as one list, reversed in place and joined once: no second copy of the rows
-    fig = build(50, 3)
+@pytest.mark.parametrize(("n", "p"), [(50, 3), (30, 4), (20, 5)])
+def test_render_peaks_near_its_output(n, p):
+    # the staircase texts, at most 3/(n+2) of the output, are composed as one list, reversed in place and joined once
+    fig = build(n, p)
     tracemalloc.start()
     try:
         text = render(fig)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(text) == 22_100 * 51 - 1
+    assert len(text) == math.comb(n + p - 1, p) * (n + 1) - 1
     assert peak < 1.5 * len(text)
 
 
