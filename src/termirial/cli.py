@@ -24,9 +24,7 @@ class UsageError(Exception):
 
 
 def _format_int(value: int, pretty: bool) -> str:
-    if pretty:
-        return f"{value:,}".replace(",", " ")
-    return str(value)
+    return f"{value:,}".replace(",", " ") if pretty else str(value)
 
 
 def _emit(args, command: str, inputs: dict, result: dict, checks: list[dict], lines: list[str]) -> None:
@@ -317,7 +315,7 @@ def cmd_fractal(args) -> int:
         result.update(cells=core.termirial_p(n, p), cell_side=f"1/{2**p}" if p else "1")
     if "out" in result:  # written once every guard has passed
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            print(text, file=handle)
     inputs = {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}
     _emit(args, "fractal", inputs, result, checks, lines)
     return EXIT_OK

@@ -13,7 +13,6 @@ the surface ratio of consecutive orders is 4*(n+p)/(p+1), which falls to
 """
 
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import iadd
 
@@ -93,6 +92,7 @@ def surface_report(n: int, p: int, budget: int = DEFAULT_CELL_BUDGET) -> Surface
         raise ValueError(f"n must be >= 1, got {n}")
     if p < 1:
         raise ValueError(f"the ratio compares order p to p-1, so p must be >= 1, got {p}")
+    from fractions import Fraction  # only the report needs it, and it loads decimal
     closed = Fraction(4 * (n + p), p + 1)
     measured = n <= budget and floor_bits(n + p, p + 1) < budget.bit_length() and termirial_p(n, p) <= budget
     if measured:
@@ -112,7 +112,7 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
     Output is deterministic: '#' for grey and '.' for empty in ASCII, top
     row first; in SVG one rect per grey cell, in sorted (x, y) order.
     ASCII composes the lines of the top n rows as build composes their lengths, or at 2 < p < n the n staircase
-    texts to order p-1, and joins once; SVG joins each column's cells once, then the document.
+    texts to order p-1, and joins once; SVG joins each column (one slice per staircase at 0 < 4p < n), then all.
     """
     if fmt == "ascii":  # the top n rows are the n order-1 rows, or at order 0 the one row of any width
         lines, p = ["#" * k + "." * (fig.n - k) for k in fig.rows[-fig.n :]], fig.p
@@ -128,21 +128,23 @@ def render(fig: FractalFigure, fmt: str = "ascii") -> str:
 
 
 def _render_svg(fig: FractalFigure) -> str:
-    width = fig.width * SVG_CELL_PX
-    height = fig.height * SVG_CELL_PX
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">'
-    ]
+    w, h = fig.width * SVG_CELL_PX, fig.height * SVG_CELL_PX
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" width="{w}" height="{h}">']
     # Column x lists its cells' pixel y, bottom row first: sorted (x, y) order.
     columns: list[list[str]] = [[] for _ in range(fig.width)]
-    for length, py in zip(fig.rows, map(str, range(height - SVG_CELL_PX, -1, -SVG_CELL_PX))):
-        for column in columns[:length]:
-            column.append(py)
+    ys, s = list(map(str, range(h - SVG_CELL_PX, -1, -SVG_CELL_PX))), 0  # each row's pixel y
+    if 0 < 4 * fig.p < fig.n:  # the staircases, rows j of order p-1, are long enough to beat one append per cell
+        for j in fig.rows[-math.comb(fig.n + fig.p - 2, fig.p - 1) :]:  # from row s, column x < j takes s+x..s+j-1
+            for x in range(j):
+                columns[x] += ys[s + x : s + j]
+            s += j
+    else:
+        for length, y in zip(fig.rows, ys):
+            for column in columns[:length]:
+                column.append(y)
     tail = f'" width="{SVG_CELL_PX}" height="{SVG_CELL_PX}" fill="{SVG_FILL}" stroke="#000000" stroke-width="1"/>'
     for x, pys in enumerate(columns):
-        if pys:
-            head = f'\n  <rect x="{x * SVG_CELL_PX}" y="'
-            parts += head, (tail + head).join(pys), tail
+        head = f'\n  <rect x="{x * SVG_CELL_PX}" y="'
+        parts += head, (tail + head).join(pys), tail
     parts.append("\n</svg>")
     return "".join(parts)

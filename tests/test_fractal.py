@@ -119,6 +119,25 @@ def test_render_is_the_rows_line_by_line(shape):
 
 
 @settings(deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, _max_order(n, 2 * 10**4)))))
+@example((44, 1))  # 0 < 4p < n: each column takes one slice per staircase
+@example((66, 2))
+@example((13, 3))
+@example((5, 1))
+@example((12, 3))  # 4p >= n or p = 0: one append per cell
+@example((8, 3))
+@example((7, 3))
+@example((7, 6))
+@example((4, 3))
+@example((4, 1))
+@example((4, 60))
+@example((100, 0))
+def test_svg_is_the_cells_in_sorted_order(shape):
+    fig = build(*shape)
+    assert render(fig, "svg") == oracle_svg(cells_of(fig))
+
+
+@settings(deadline=None)
 @given(st.one_of(st.tuples(st.integers(1, 12), st.integers(0, 10)), st.tuples(st.integers(1, 3), st.integers(0, 1000))))
 def test_row_count_and_cell_count(shape):
     n, p = shape
@@ -303,6 +322,20 @@ def test_render_peaks_near_its_output(n, p):
         tracemalloc.stop()
     assert len(text) == math.comb(n + p - 1, p) * (n + 1) - 1
     assert peak < 1.5 * len(text)
+
+
+@pytest.mark.parametrize(("n", "p"), [(44, 1), (66, 2), (30, 4)])
+def test_svg_peaks_near_its_output(n, p):
+    # each row's pixel y, the columns' pointers and the joined columns, then the document: about 2.1x the output
+    fig = build(n, p)
+    tracemalloc.start()
+    try:
+        svg = render(fig, "svg")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert svg.count("<rect ") == math.comb(n + p, p + 1)
+    assert peak < 2.5 * len(svg)
 
 
 @pytest.mark.parametrize(("n", "p"), [(50, 3), (4, 60), (3, 500)])

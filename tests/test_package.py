@@ -41,6 +41,8 @@ def bare() -> set[str]:
         ("from termirial import loopnest", {"termirial.oracle", "termirial.fractal"}),
         ("from termirial import cli; cli.main(['eval', '5', '2'])", CLI_UNUSED),
         ("from termirial import cli; cli.main(['check', 'pascal'])", CLI_UNUSED),
+        ("from termirial import cli; cli.main(['fractal', '4', '2'])", {"fractions", "decimal"}),
+        ("from termirial import fractal; fractal.render(fractal.build(4, 2), 'svg')", {"fractions", "decimal"}),
     ],
 )
 def test_imports_load_only_what_they_use(code, unloaded, bare):

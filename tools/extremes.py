@@ -1,4 +1,4 @@
-"""Run a fixed grid of 242 extreme command lines and flag the ones that misbehave.
+"""Run a fixed grid of 244 extreme command lines and flag the ones that misbehave.
 
     python3 tools/extremes.py [--checkout PATH]
 
@@ -6,7 +6,7 @@ Each case is one `python -m termirial ...` process on the checkout's src/
 (this repository by default), run at most two at a time and killed after
 10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
 `enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
-500, 10^4}, in text and under `--json` (200 cases), and adds 42
+500, 10^4}, in text and under `--json` (200 cases), and adds 44
 more: a large `check pascal` sweep, a `check split1` sweep of 1,001,000
 tuples, one large `check recurrence` tuple, `eval <100 digits> 10000` in
 text and `--json`, five small figures of high order (`fractal 4 250
@@ -14,7 +14,9 @@ text and `--json`, five small figures of high order (`fractal 4 250
 text renders `fractal 4 250` and `fractal 3 500`, whose bands are the
 shortest, so each row is composed from the most pieces), two staircase
 renders near the default cell budget's edge (`fractal 100 3` and `fractal
-60 4`), `fractal 1000000 1000000 --report-only` in text and `--json`,
+60 4`), two SVG renders (`fractal 30 4 --format svg`, 278,256 cells filled
+one slice per staircase and column, and `fractal 4 60 --format svg`, one
+append per cell), `fractal 1000000 1000000 --report-only` in text and `--json`,
 whose cell count of some 10^6 bits is never made, six large
 subset walks (`enum 25 2`, `enum 100000 1`, `enum 30 15`, `enum 21 2
 --subsets`, and `enum 100000 99999` and `enum 6000 5998`, whose few
@@ -84,6 +86,8 @@ def cases() -> list[tuple[list[str], str]]:
         ["fractal", "3", "500"],
         ["fractal", "100", "3"],
         ["fractal", "60", "4"],
+        ["fractal", "30", "4", "--format", "svg"],
+        ["fractal", "4", "60", "--format", "svg"],
         ["fractal", "1000000", "1000000", "--report-only"],
         ["fractal", "1000000", "1000000", "--report-only", "--json"],
         ["enum", "25", "2"],
