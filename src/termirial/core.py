@@ -5,12 +5,14 @@ up to n: order 1 is the triangular number n*(n+1)/2, order 2 the
 tetrahedral number, and so on (the (p+1)-simplicial polytopic numbers).
 Order 0 is n itself and order -1 is the constant 1.  Everything here is
 plain Python int arithmetic, so results are exact at any size, and every
-function is pure.  Single values come from the stdlib's exact math.comb.
+function is pure.  Single values come from the stdlib's exact math.comb,
+except past a size where a product of prime powers is faster (_comb).
 The convolution terms need whole rows termirial_p(n, -1..p), so they walk
 each row by its exact ratio instead of making one binomial per entry; the
 independent cross-check lives in `oracle`.
 """
 
+import itertools
 import math
 
 MIN_ORDER = -1
@@ -30,7 +32,7 @@ def binomial(n: int, k: int) -> int:
     """C(n, k) for k <= n, 0 for k > n."""
     _check_count("n", n)
     _check_count("k", k)
-    return math.comb(n, k)
+    return math.comb(n, k) if k < 1000 else _comb(n, k)  # below 1,000, _comb would call math.comb too
 
 
 def termirial(n: int) -> int:
@@ -50,7 +52,42 @@ def termirial_p(n: int, p: int) -> int:
     _check_order(p)
     if p == MIN_ORDER:
         return 1
-    return math.comb(n + p, p + 1)
+    return math.comb(n + p, p + 1) if p < 999 else _comb(n + p, p + 1)  # as in binomial, for k = p + 1
+
+
+def _comb(n: int, k: int) -> int:
+    """C(n, k) by math.comb while j = min(k, n-k) < 1000 or j*j < 32n (it is faster there), else as a product."""
+    j = min(k, n - k)
+    return math.comb(n, k) if j < 1000 or j * j < 32 * n else _prime_power_product(n, j)
+
+
+def _prime_power_product(n: int, j: int) -> int:
+    """C(n, j) for 0 <= j <= n as a product of prime powers, with no division.
+
+    math.comb divides at every level, in quadratic time.  A prime q <= r = max(j, isqrt(n)) divides
+    C(n, j) sum(n//q**i - j//q**i - (n-j)//q**i) times, the carries of j + (n-j) in base q (Kummer).
+    A prime q > r divides it once exactly when a multiple i*q lies in (n-j, n], so for i = 1..n//(r+1)
+    the primes in (max((n-j)//i, r), n//i] are read off one sieve of the odd numbers up to n.
+    """
+    r = max(j, math.isqrt(n))
+    sieve = bytearray([1]) * ((n + 1) // 2)  # sieve[v // 2] is 1 when the odd number v is prime
+    for q in range(3, math.isqrt(n) + 1, 2):
+        if sieve[q // 2]:  # cross out the odd multiples of q from q*q on, which lie q entries apart
+            sieve[q * q // 2 :: q] = bytes(len(range(q * q // 2, len(sieve), q)))
+    factors = []
+    for q in itertools.chain((2,), itertools.compress(range(3, r + 1, 2), sieve[1 : (r + 1) // 2])):
+        e, power = 0, q
+        while power <= n:
+            e += n // power - j // power - (n - j) // power
+            power *= q
+        if e:
+            factors.append(q**e)
+    for i in range(1, n // (r + 1) + 1):
+        lo, hi = (max((n - j) // i, r) + 1) // 2, (n // i + 1) // 2  # sieve indices of those odd primes
+        factors += itertools.compress(range(2 * lo + 1, 2 * hi + 1, 2), sieve[lo:hi])
+    while len(factors) > 1:  # a balanced product tree: the two sides of each multiply are of one size
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2] + [1])]
+    return math.prod(factors)  # the one factor left, or 1 when there was none
 
 
 def pascal_check(n: int, p: int) -> tuple[int, int]:
