@@ -36,9 +36,10 @@ def floor_bits(N: int, k: int) -> int:
 
 
 def value_cost(N: int, k: int, bits: int | None = None) -> int:
-    """Work of making C(N, k) by math.comb and printing it, in the engine's unit: VALUE_CALL + k*b / VALUE_MAKE
-    + b*b / VALUE_PRINT (int-to-text is quadratic) for k = min(k, N-k) and b = floor_bits(N, k) + k, within 1.5k + 1
-    of the bit length; bits replaces the floor for a value made otherwise, as 2**p by a shift (N = k = 0, bits = p)."""
+    """Work of making C(N, k) and printing it, in the engine's unit: VALUE_CALL + k*b / VALUE_MAKE (fitted to
+    math.comb, slower than core's prime powers past their size) + b*b / VALUE_PRINT (int-to-text is quadratic) for
+    k = min(k, N-k) and b = floor_bits(N, k) + k, within 1.5k + 1 of the bit length; bits replaces the floor for a
+    value made otherwise, as 2**p by a shift (N = k = 0, bits = p)."""
     k = max(min(k, N - k), 0)
     b = (floor_bits(N, k) if bits is None else bits) + k
     return VALUE_CALL + k * b // VALUE_MAKE + b * b // VALUE_PRINT
