@@ -1,18 +1,22 @@
 """Kernel values and identity sweeps.
 
-The kernel is math.comb, so expected values come from routes that do not
-use it: hand-checked constants, Pascal's triangle built by addition, the
-oracle's running product, and literal summation loops inline.  The
-convolution terms are built from exact ratio rows instead, so math.comb,
-through termirial_p, is an independent check on them.
+Single values come from math.comb up to a size and from a product of prime
+powers past it, so expected values come from routes that use neither:
+hand-checked constants, Pascal's triangle built by addition, the oracle's
+running product, and literal summation loops inline.  math.comb itself is
+the independent check on the product, and on the convolution terms, which
+are built from exact ratio rows.
 """
 
 import itertools
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from termirial import core
 from termirial.core import (
     binomial,
     convolution_terms,
@@ -37,6 +41,8 @@ def test_binomial_edges():
         assert binomial(n, n) == 1
         assert binomial(n, n + 1) == 0
     assert binomial(3, 30) == 0
+    for n, k in [(0, 1000), (999, 1000), (5000, 10**6), (10**6, 10**6 + 1)]:  # k past math.comb's inline compare
+        assert binomial(n, k) == 0, (n, k)
 
 
 def test_binomial_rejects_negative():
@@ -242,3 +248,82 @@ def test_convolution_terms_are_the_factor_products(n, m, p):
 @given(COUNTS, st.integers(0, 60))
 def test_summation_recurrence_property(n, p):
     assert termirial_p(n, p) == sum(termirial_p(k, p - 1) for k in range(1, n + 1))
+
+
+# ---------------------------------------------------------------- the product of prime powers
+
+
+def test_prime_power_product_is_every_small_binomial():
+    # the product at shapes that binomial sends to math.comb, every k on both sides of n/2
+    for n in range(301):
+        for k in range(n + 1):
+            assert core._prime_power_product(n, k) == math.comb(n, k), (n, k)
+
+
+@st.composite
+def past_the_size_condition(draw):
+    """(n, k) with j = min(k, n-k) >= 1000 and j*j >= 32n, n up to 2*10^5, k on either side of n/2."""
+    j = draw(st.integers(1000, 6000))
+    n = draw(st.integers(2 * j, min(2 * 10**5, j * j // 32)))
+    return n, draw(st.sampled_from((j, n - j)))
+
+
+@given(past_the_size_condition())
+def test_large_binomials_are_math_comb(shape):
+    n, k = shape
+    expected = math.comb(n, k)
+    assert binomial(n, k) == expected
+    assert termirial_p(n - k + 1, k - 1) == expected  # C((n-k+1) + (k-1), k)
+    assert pascal_check(n - k, k - 1) == (math.comb(n + 1, k + 1),) * 2
+
+
+# (n, k) past the size condition at the sieve's and the condition's edges
+EDGE_SHAPES = [
+    *((1009**2 + d, 6000) for d in (-1, 0, 1)),  # n = q*q and q*q +- 1, q = 1009 prime
+    *((211**2 + d + 2000, 2000) for d in (-1, 1)),  # n - k just below and above the prime square 211**2
+    (4000, 2000),  # k = n/2
+    (20000, 10000),
+    (2000, 1000),  # k = 1000, the least k past the condition
+    (31250, 1000),  # k*k == 32n
+    (31815, 1009),  # k*k == 32n + 1; 32n - 1 is never a square
+    (32768, 1024),  # k*k == 32n
+    (10**6, 10**4),
+]
+
+
+@pytest.mark.parametrize("n, k", EDGE_SHAPES)
+def test_edge_shapes_take_the_product_and_match_math_comb(n, k, monkeypatch):
+    calls = []
+    product = core._prime_power_product
+    monkeypatch.setattr(core, "_prime_power_product", lambda *args: calls.append(args) or product(*args))
+    assert binomial(n, k) == binomial(n, n - k) == math.comb(n, k)
+    assert termirial_p(n - k + 1, k - 1) == math.comb(n, k)
+    assert len(calls) == 3
+
+
+def test_the_edge_squares_are_of_primes():
+    assert all(q % d for q in (211, 1009) for d in range(2, math.isqrt(q) + 1))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(2000, 999), (10**6, 999), (10**6, 1000), (31251, 1000), (31816, 1009), (32769, 1024), (10**6, 5656), (1999, 1000)],
+)
+def test_shapes_below_the_size_condition_call_math_comb(n, k, monkeypatch):
+    monkeypatch.setattr(core, "_prime_power_product", None)  # calling it would raise TypeError
+    assert binomial(n, k) == binomial(n, n - k) == math.comb(n, k)
+    assert termirial_p(n - k + 1, k - 1) == math.comb(n, k)
+
+
+def test_prime_power_product_holds_about_its_sieve():
+    # one sieve of the odd numbers up to n, n/2 bytes, plus the factors: 0.85 MB here (math.comb: 0.07 MB); a list
+    # of every prime up to n, 78,498 ints, would take some 2.8 MB more
+    n, k = 1009268, 9973
+    tracemalloc.start()
+    try:
+        value = binomial(n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == math.comb(n, k)
+    assert peak < 1.25 * 10**6

@@ -1,4 +1,4 @@
-"""Run a fixed grid of 244 extreme command lines and flag the ones that misbehave.
+"""Run a fixed grid of 248 extreme command lines and flag the ones that misbehave.
 
     python3 tools/extremes.py [--checkout PATH]
 
@@ -6,11 +6,14 @@ Each case is one `python -m termirial ...` process on the checkout's src/
 (this repository by default), run at most two at a time and killed after
 10 s.  The grid crosses `eval`, `fractal`, `fractal --report-only` and
 `enum` with n in {0, 1, 10^6, 10^400 - 1, 10^4300 - 1} and p in {-1, 0, 1,
-500, 10^4}, in text and under `--json` (200 cases), and adds 44
+500, 10^4}, in text and under `--json` (200 cases), and adds 48
 more: a large `check pascal` sweep, a `check split1` sweep of 1,001,000
 tuples, one large `check recurrence` tuple, `eval <100 digits> 10000` in
-text and `--json`, five small figures of high order (`fractal 4 250
---report-only`, `fractal 3 500 --report-only`, `fractal 2 501`, and the
+text and `--json`, the largest n = p that `eval`'s default budget accepts
+(`eval 76128 76128`, a product of prime powers of 152,248 bits) and the
+next, refused, each in text and `--json`, five small figures of high
+order (`fractal 4 250 --report-only`, `fractal 3 500 --report-only`,
+`fractal 2 501`, and the
 text renders `fractal 4 250` and `fractal 3 500`, whose bands are the
 shortest, so each row is composed from the most pieces), two staircase
 renders near the default cell budget's edge (`fractal 100 3` and `fractal
@@ -79,6 +82,7 @@ def cases() -> list[tuple[list[str], str]]:
         ["check", "recurrence", "--n", "1000000", "--p", "10000"],
         ["eval", "9" * 100, "10000"],
         ["eval", "9" * 100, "10000", "--json"],
+        *(["eval", n, n, *json] for n in ("76128", "76129") for json in ([], ["--json"])),
         ["fractal", "4", "250", "--report-only"],
         ["fractal", "3", "500", "--report-only"],
         ["fractal", "2", "501"],
