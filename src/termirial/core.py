@@ -6,7 +6,7 @@ tetrahedral number, and so on (the (p+1)-simplicial polytopic numbers).
 Order 0 is n itself and order -1 is the constant 1.  Everything here is
 plain Python int arithmetic, so results are exact at any size, and every
 function is pure.  Single values come from the stdlib's exact math.comb,
-except past a size where a product of prime powers is faster (_comb).
+except over a range of sizes where a product of prime powers is faster (_comb).
 The convolution terms need whole rows termirial_p(n, -1..p), so they walk
 each row by its exact ratio instead of making one binomial per entry; the
 independent cross-check lives in `oracle`.
@@ -16,6 +16,7 @@ import itertools
 import math
 
 MIN_ORDER = -1
+_COMB_FLOOR = 1000  # below this min(k, n-k), math.comb is faster than _prime_power_product
 
 
 def _check_count(name: str, value: int) -> None:
@@ -32,7 +33,7 @@ def binomial(n: int, k: int) -> int:
     """C(n, k) for k <= n, 0 for k > n."""
     _check_count("n", n)
     _check_count("k", k)
-    return math.comb(n, k) if k < 1000 else _comb(n, k)  # below 1,000, _comb would call math.comb too
+    return math.comb(n, k) if k < _COMB_FLOOR else _comb(n, k)  # below the floor, _comb would call math.comb too
 
 
 def termirial(n: int) -> int:
@@ -52,13 +53,17 @@ def termirial_p(n: int, p: int) -> int:
     _check_order(p)
     if p == MIN_ORDER:
         return 1
-    return math.comb(n + p, p + 1) if p < 999 else _comb(n + p, p + 1)  # as in binomial, for k = p + 1
+    return math.comb(n + p, p + 1) if p + 1 < _COMB_FLOOR else _comb(n + p, p + 1)  # as in binomial
 
 
 def _comb(n: int, k: int) -> int:
-    """C(n, k) by math.comb while j = min(k, n-k) < 1000 or j*j < 32n (it is faster there), else as a product."""
+    """C(n, k) as a product for j = min(k, n-k) >= 1000, j*j >= 32n and n <= 10**8, else by math.comb.
+
+    math.comb is faster below the first two bounds.  The product's sieve takes n/2 bytes whatever the size of the
+    value, and it was timed only up to n = 10**8, so past that math.comb, whose memory follows the value, stays.
+    """
     j = min(k, n - k)
-    return math.comb(n, k) if j < 1000 or j * j < 32 * n else _prime_power_product(n, j)
+    return math.comb(n, k) if j < _COMB_FLOOR or j * j < 32 * n or n > 10**8 else _prime_power_product(n, j)
 
 
 def _prime_power_product(n: int, j: int) -> int:

@@ -288,6 +288,7 @@ EDGE_SHAPES = [
     (31815, 1009),  # k*k == 32n + 1; 32n - 1 is never a square
     (32768, 1024),  # k*k == 32n
     (10**6, 10**4),
+    (10**8, 56569),  # the largest n the product takes; 56569**2 >= 32 * (10**8 + 1)
 ]
 
 
@@ -307,7 +308,11 @@ def test_the_edge_squares_are_of_primes():
 
 @pytest.mark.parametrize(
     "n, k",
-    [(2000, 999), (10**6, 999), (10**6, 1000), (31251, 1000), (31816, 1009), (32769, 1024), (10**6, 5656), (1999, 1000)],
+    [
+        (2000, 999), (10**6, 999), (10**6, 1000), (31251, 1000),
+        (31816, 1009), (32769, 1024), (10**6, 5656), (1999, 1000),
+        (10**8 + 1, 56569),  # past the j bounds, but its sieve would take 50 MB: n past 10**8 stays on math.comb
+    ],
 )
 def test_shapes_below_the_size_condition_call_math_comb(n, k, monkeypatch):
     monkeypatch.setattr(core, "_prime_power_product", None)  # calling it would raise TypeError
