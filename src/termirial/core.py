@@ -6,7 +6,7 @@ tetrahedral number, and so on (the (p+1)-simplicial polytopic numbers).
 Order 0 is n itself and order -1 is the constant 1.  Everything here is
 plain Python int arithmetic, so results are exact at any size, and every
 function is pure.  Single values come from the stdlib's exact math.comb,
-except over a range of sizes where a product of prime powers is faster (_comb).
+except in a range of sizes where a product of prime powers is faster (_comb).
 The convolution terms need whole rows termirial_p(n, -1..p), so they walk
 each row by its exact ratio instead of making one binomial per entry; the
 independent cross-check lives in `oracle`.
@@ -57,10 +57,9 @@ def termirial_p(n: int, p: int) -> int:
 
 
 def _comb(n: int, k: int) -> int:
-    """C(n, k) as a product for j = min(k, n-k) >= 1000, j*j >= 32n and n <= 10**8, else by math.comb.
+    """C(n, k) as a product for j = min(k, n-k) >= 1000, j*j >= 32n and n <= 10**8 (faster there), else by math.comb.
 
-    math.comb is faster below the first two bounds.  The product's sieve takes n/2 bytes whatever the size of the
-    value, and it was timed only up to n = 10**8, so past that math.comb, whose memory follows the value, stays.
+    Past n = 10**8 the product's n/2-byte sieve would dwarf most values, and math.comb's memory follows the value.
     """
     j = min(k, n - k)
     return math.comb(n, k) if j < _COMB_FLOOR or j * j < 32 * n or n > 10**8 else _prime_power_product(n, j)
