@@ -27,19 +27,15 @@ def _format_int(value: int, pretty: bool) -> str:
     return f"{value:,}".replace(",", " ") if pretty else str(value)
 
 
-def _emit(args, command: str, inputs: dict, result: dict, checks: list[dict], lines: list[str]) -> None:
-    if args.json:
-        import json
-        envelope = {"command": command, "inputs": inputs, "result": result, "checks": checks}
-        print(json.dumps(envelope, sort_keys=True))
-    elif lines:
-        print("\n".join(lines))
+# Each handler returns (inputs, result, checks, lines): main prints the JSON
+# envelope or the text lines, and exits 0 exactly when every check passes.
+Outcome = tuple[dict, dict, list[dict], list[str]]
 
 
 # ---------------------------------------------------------------- eval
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Outcome:
     n, p = args.n, args.p
     if n < 0:
         raise UsageError("n must be >= 0")
@@ -47,25 +43,22 @@ def cmd_eval(args) -> int:
         raise UsageError("p must be >= -1")
     if args.oracle and p < 0:
         raise UsageError("the iterated-sum oracle needs p >= 0")
-    budget = args.budget or DEFAULT_STEP_BUDGET
 
     top, bottom = n + p, p + 1
-    check_budget(value_cost(top, bottom), budget, f"termirial_p({short(n)}, {short(p)})")
+    check_budget(value_cost(top, bottom), args.budget, f"termirial_p({short(n)}, {short(p)})")
     value = core.termirial_p(n, p)
     lines = [] if args.json else [_format_int(value, args.pretty), f"binomial form: C({top}, {bottom})"]
     result = {"value": value, "binomial_top": top, "binomial_bottom": bottom}
     checks: list[dict] = []
     if args.oracle:
         from . import oracle
-        observed = oracle.nested_sum(n, p, budget=budget)
+        observed = oracle.nested_sum(n, p, budget=args.budget)
         agrees = observed == value
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"oracle (iterated sum): {_format_int(observed, args.pretty)} [{verdict}]")
         result["oracle_value"] = observed
         checks.append({"name": "iterated-sum oracle agrees", "pass": agrees})
-
-    _emit(args, "eval", {"n": n, "p": p, "oracle": args.oracle}, result, checks, lines)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return {"n": n, "p": p, "oracle": args.oracle}, result, checks, lines
 
 
 # ---------------------------------------------------------------- check
@@ -141,7 +134,7 @@ _IDENTITIES = {
 }
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Outcome:
     variables, check_fn, defaults, tuple_work = _IDENTITIES[args.identity]
     for var in ("n", "m", "p"):
         if getattr(args, var) is not None and var not in variables:
@@ -157,7 +150,7 @@ def cmd_check(args) -> int:
         total *= hi - lo + 1
     calls, top, bottom = tuple_work(*(hi for _, hi in ranges.values()))  # values grow with n, m and p: the top corner
     projected = total * calls * value_cost(top, bottom)
-    check_budget(projected, args.budget or DEFAULT_STEP_BUDGET, f"check {args.identity} sweep of {short(total)} tuples")
+    check_budget(projected, args.budget, f"check {args.identity} sweep of {short(total)} tuples")
 
     show_each = args.each or total == 1
     lines: list[str] = []
@@ -181,28 +174,25 @@ def cmd_check(args) -> int:
 
     inputs = {"identity": args.identity}
     inputs.update({v: f"{lo}..{hi}" for v, (lo, hi) in ranges.items()})
-    _emit(args, "check", inputs, {"checked": total, "failures": failures}, checks, lines)
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return inputs, {"checked": total, "failures": failures}, checks, lines
 
 
 # ---------------------------------------------------------------- enum
 
 
-def cmd_enum(args) -> int:
+def cmd_enum(args) -> Outcome:
     n, p = args.n, args.p
     if n < 0:
         raise UsageError("n must be >= 0")
     if not 1 <= p <= n:
         raise UsageError("need 1 <= p <= n")
-    budget = args.budget or DEFAULT_STEP_BUDGET
 
     from . import oracle
-    listed = oracle.subsets(n, p, budget=budget) if args.subsets else []  # refused before any walk
-    groups = oracle.decompose_by_leading(n, p, budget=budget).groups
+    listed = oracle.subsets(n, p, budget=args.budget) if args.subsets else []  # refused before any walk
+    groups = oracle.decompose_by_leading(n, p, budget=args.budget).groups
     value = core.binomial(n, p)
     counts = [count for _, count in groups]
     total = sum(counts)
-    agrees = total == value
     result = {
         "binomial": value,
         "groups": groups,  # pairs, which json writes as lists
@@ -217,15 +207,14 @@ def cmd_enum(args) -> int:
         f"decomposition: {' + '.join(map(str, counts))} = {total}",
         f"termirial reading: C({n}, {p}) = termirial_p({n - p + 1}, {p - 1}) = {value}",
     ]
-    checks = [{"name": "group counts sum to the binomial coefficient", "pass": agrees}]
-    _emit(args, "enum", {"n": n, "p": p, "subsets": args.subsets}, result, checks, lines)
-    return EXIT_OK if agrees else EXIT_CHECK_FAILED
+    checks = [{"name": "group counts sum to the binomial coefficient", "pass": total == value}]
+    return {"n": n, "p": p, "subsets": args.subsets}, result, checks, lines
 
 
 # ---------------------------------------------------------------- loops
 
 
-def cmd_loops(args) -> int:
+def cmd_loops(args) -> Outcome:
     if args.n is not None and args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.file in (None, "-"):
@@ -235,8 +224,7 @@ def cmd_loops(args) -> int:
             source = handle.read()
     from . import loopnest
     prog = loopnest.parse(source)
-    budget = args.budget or DEFAULT_STEP_BUDGET
-    res = loopnest.analyze(prog, n=args.n, budget=budget)
+    res = loopnest.analyze(prog, n=args.n, budget=args.budget)
     lines = [
         f"depth: {res.depth}",
         f"closed form: {res.termirial_text()} = {res.binomial_text()}",
@@ -258,22 +246,20 @@ def cmd_loops(args) -> int:
     if args.simulate:
         if res.param_value is None:
             raise UsageError("--simulate needs a bound: give --n or an assignment line")
-        simulated = loopnest.simulate(prog, res.param_value, budget=budget)
+        simulated = loopnest.simulate(prog, res.param_value, budget=args.budget)
         agrees = simulated == res.exact_count
         verdict = "agrees" if agrees else "DISAGREES"
         lines.append(f"simulated: {_format_int(simulated, args.pretty)} [{verdict}]")
         result["simulated"] = simulated
         checks.append({"name": "simulator agrees with closed form", "pass": agrees})
 
-    inputs = {"file": args.file or "-", "n": args.n, "simulate": args.simulate}
-    _emit(args, "loops", inputs, result, checks, lines)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return {"file": args.file or "-", "n": args.n, "simulate": args.simulate}, result, checks, lines
 
 
 # ---------------------------------------------------------------- fractal
 
 
-def cmd_fractal(args) -> int:
+def cmd_fractal(args) -> Outcome:
     n, p = args.n, args.p
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -281,7 +267,6 @@ def cmd_fractal(args) -> int:
         raise UsageError("p must be >= 0")
     if (args.report or args.report_only) and p < 1:
         raise UsageError("the surface report compares order p to p-1, so p must be >= 1")
-    budget = args.budget or DEFAULT_CELL_BUDGET
 
     lines: list[str] = []
     result: dict = {}
@@ -289,7 +274,7 @@ def cmd_fractal(args) -> int:
 
     from . import fractal
     if not args.report_only:
-        fig = fractal.build(n, p, budget=budget)
+        fig = fractal.build(n, p, budget=args.budget)
         text = fractal.render(fig, args.format)
         result.update({"width": fig.width, "height": fig.height})
         if args.out:
@@ -299,7 +284,7 @@ def cmd_fractal(args) -> int:
             result["figure"] = text
 
     if args.report or args.report_only:
-        report = fractal.surface_report(n, p, budget=budget)
+        report = fractal.surface_report(n, p, budget=args.budget)
         lines.append(f"ratio: {report.ratio}")
         lines.append(f"dimension estimate: {report.dimension_estimate!r}")
         lines.append(f"measured: {'yes' if report.measured else 'no (closed form only)'}")
@@ -316,9 +301,7 @@ def cmd_fractal(args) -> int:
     if "out" in result:  # written once every guard has passed
         with open(args.out, "w", encoding="utf-8") as handle:
             print(text, file=handle)
-    inputs = {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}
-    _emit(args, "fractal", inputs, result, checks, lines)
-    return EXIT_OK
+    return {"n": n, "p": p, "format": args.format, "report": args.report or args.report_only}, result, checks, lines
 
 
 # ---------------------------------------------------------------- parser
@@ -355,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", action="store_true", help="emit one JSON object instead of plain text")
     shared.add_argument("--pretty", action="store_true", help="print large numbers with digit groups: 4 421 275")
     budget_help = f"work guard override (defaults: {DEFAULT_STEP_BUDGET} steps, {DEFAULT_CELL_BUDGET} cells)"
-    shared.add_argument("--budget", type=int, metavar="N", help=budget_help)
+    shared.add_argument("--budget", type=int, metavar="N", help=budget_help)  # shared: each command sets default_budget
+    n_p = argparse.ArgumentParser(add_help=False)
+    n_p.add_argument("n", type=int)
+    n_p.add_argument("p", type=int)
 
     parser = argparse.ArgumentParser(
         prog="termirial",
@@ -364,11 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p_eval = sub.add_parser("eval", parents=[shared], help="evaluate the order-p termirial of n")
-    p_eval.add_argument("n", type=int)
-    p_eval.add_argument("p", type=int)
+    p_eval = sub.add_parser("eval", parents=[shared, n_p], help="evaluate the order-p termirial of n")
     p_eval.add_argument("--oracle", action="store_true", help="cross-check with the literal iterated sum (p >= 0)")
-    p_eval.set_defaults(handler=cmd_eval)
+    p_eval.set_defaults(handler=cmd_eval, default_budget=DEFAULT_STEP_BUDGET)
 
     p_check = sub.add_parser("check", parents=[shared], help="sweep an identity over ranges")
     p_check.add_argument("identity", choices=sorted(_IDENTITIES))
@@ -376,28 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=_range_arg, metavar="A..B")
     p_check.add_argument("--p", type=_range_arg, metavar="A..B")
     p_check.add_argument("--each", action="store_true", help="print one line per tuple")
-    p_check.set_defaults(handler=cmd_check)
+    p_check.set_defaults(handler=cmd_check, default_budget=DEFAULT_STEP_BUDGET)
 
-    p_enum = sub.add_parser("enum", parents=[shared], help="list p-subsets of {1..n} grouped by leading element")
-    p_enum.add_argument("n", type=int)
-    p_enum.add_argument("p", type=int)
+    p_enum = sub.add_parser("enum", parents=[shared, n_p], help="list p-subsets of {1..n} grouped by leading element")
     p_enum.add_argument("--subsets", action="store_true", help="also list every subset")
-    p_enum.set_defaults(handler=cmd_enum)
+    p_enum.set_defaults(handler=cmd_enum, default_budget=DEFAULT_STEP_BUDGET)
 
     p_loops = sub.add_parser("loops", parents=[shared], help="analyze a chain loop-nest program")
     p_loops.add_argument("file", nargs="?", help="program file (.loop); stdin when omitted or '-'")
     p_loops.add_argument("--n", type=int, metavar="N", help="override the nest parameter")
     p_loops.add_argument("--simulate", action="store_true", help="count the body entries by brute force and compare")
-    p_loops.set_defaults(handler=cmd_loops)
+    p_loops.set_defaults(handler=cmd_loops, default_budget=DEFAULT_STEP_BUDGET)
 
-    p_fractal = sub.add_parser("fractal", parents=[shared], help="build and render the grey-square figure")
-    p_fractal.add_argument("n", type=int)
-    p_fractal.add_argument("p", type=int)
+    p_fractal = sub.add_parser("fractal", parents=[shared, n_p], help="build and render the grey-square figure")
     p_fractal.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p_fractal.add_argument("--report", action="store_true", help="also print the surface ratio and dimension estimate")
     p_fractal.add_argument("--report-only", action="store_true", help="print the report without building the figure")
     p_fractal.add_argument("--out", metavar="PATH", help="write the figure to a file instead of stdout")
-    p_fractal.set_defaults(handler=cmd_fractal)
+    p_fractal.set_defaults(handler=cmd_fractal, default_budget=DEFAULT_CELL_BUDGET)
 
     return parser
 
@@ -423,7 +403,15 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         if args.budget is not None and args.budget < 1:
             raise UsageError("--budget must be a positive integer")
-        return args.handler(args)
+        args.budget = args.budget or args.default_budget
+        inputs, result, checks, lines = args.handler(args)
+        if args.json:  # printed before the digit cap comes back: a result may run past 4,300 digits
+            import json
+            envelope = {"command": args.command, "inputs": inputs, "result": result, "checks": checks}
+            print(json.dumps(envelope, sort_keys=True))
+        elif lines:
+            print("\n".join(lines))
+        return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
     except tuple(_EXIT_CODES) as exc:
         print(f"error ({exc.kind}): {exc}" if hasattr(exc, "kind") else f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
@@ -432,7 +420,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if cap:
             sys.set_int_max_str_digits(cap)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

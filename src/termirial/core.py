@@ -77,7 +77,7 @@ def _prime_power_product(n: int, j: int) -> int:
     sieve = bytearray([1]) * ((n + 1) // 2)  # sieve[v // 2] is 1 when the odd number v is prime
     for q in range(3, math.isqrt(n) + 1, 2):
         if sieve[q // 2]:  # cross out the odd multiples of q from q*q on, which lie q entries apart
-            sieve[q * q // 2 :: q] = bytes(len(range(q * q // 2, len(sieve), q)))
+            sieve[q * q // 2 :: q] = bytearray(len(range(q * q // 2, len(sieve), q)))  # stored uncopied, unlike bytes
     factors = []
     for q in itertools.chain((2,), itertools.compress(range(3, r + 1, 2), sieve[1 : (r + 1) // 2])):
         e, power = 0, q

@@ -469,6 +469,34 @@ def test_simulator_disagreement_exits_one(capsys, monkeypatch):
     assert "DISAGREES" in out
 
 
+def test_oracle_disagreement_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "nested_sum", lambda n, p, budget: 36)
+    code, out, _ = run_cli(capsys, "eval", "5", "2", "--oracle")
+    assert (code, out) == (1, "35\nbinomial form: C(7, 3)\noracle (iterated sum): 36 [DISAGREES]\n")
+    code, out, _ = run_cli(capsys, "eval", "5", "2", "--oracle", "--json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [{"name": "iterated-sum oracle agrees", "pass": False}]
+
+
+def test_enum_disagreement_exits_one(capsys, monkeypatch):
+    import termirial.core
+
+    monkeypatch.setattr(termirial.core, "binomial", lambda n, k: 11)
+    code, out, _ = run_cli(capsys, "enum", "5", "2")
+    assert code == 1
+    assert "C(5, 2) = 11" in out and "decomposition: 4 + 3 + 2 + 1 = 10" in out
+    code, out, _ = run_cli(capsys, "enum", "5", "2", "--json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [{"name": "group counts sum to the binomial coefficient", "pass": False}]
+
+
+def test_fractal_report_checks_pass(capsys):
+    assert run_cli(capsys, "fractal", "4", "2", "--report")[0] == 0
+    code, out, _ = run_cli(capsys, "fractal", "4", "2", "--report", "--json")
+    assert code == 0
+    assert json.loads(out)["checks"] == [{"name": "measured ratio equals closed form", "pass": True}]
+
+
 def test_enum_decomposition(capsys):
     code, out, _ = run_cli(capsys, "enum", "5", "2")
     assert code == 0
@@ -510,6 +538,12 @@ def test_enum_guards(capsys):
     assert run_cli(capsys, "enum", "5", "6")[0] == 2
     assert run_cli(capsys, "enum", "5", "0")[0] == 2
     assert run_cli(capsys, "enum", "5", "2", "--budget", "5")[0] == 3
+
+
+def test_enum_refuses_on_the_default_budget(capsys):
+    code, out, err = run_cli(capsys, "enum", "21", "10", "--subsets")
+    assert (code, out) == (3, "")
+    assert err == "error: subsets(21, 10): projected 178095667 exceeds budget 100000000\n"
 
 
 def test_enum_refuses_the_listing_before_the_walk(capsys, monkeypatch):
@@ -592,6 +626,14 @@ def test_loops_simulate_deep_nest(capsys, tmp_path):
 def test_loops_simulation_budget(capsys, monkeypatch):
     code, _, _ = run_cli_stdin(capsys, monkeypatch, FOUR_LOOPS, "loops", "--simulate", "--budget", "1000")
     assert code == 3
+
+
+def test_loops_simulate_refuses_on_the_default_budget(capsys, monkeypatch):
+    # a six-deep chain at n = 100 enters its body C(105, 6) times, past the default step budget
+    source = "n = 100\nfor v0 = 1 to n\n" + "".join(f"for v{d} = 1 to v{d - 1}\n" for d in range(1, 6))
+    code, out, err = run_cli_stdin(capsys, monkeypatch, source, "loops", "--simulate")
+    assert (code, out) == (3, "")
+    assert err == "error: simulate depth 6 with n = 100: projected 160934560 exceeds budget 100000000\n"
 
 
 def test_loops_simulate_needs_a_bound(capsys, monkeypatch):

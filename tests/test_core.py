@@ -332,3 +332,18 @@ def test_prime_power_product_holds_about_its_sieve():
         tracemalloc.stop()
     assert value == math.comb(n, k)
     assert peak < 1.25 * 10**6
+
+
+def test_prime_power_product_crosses_out_in_place():
+    # At q = 3 the cross-out writes n/6 zero bytes into the sieve.  A bytearray copies any other value before an
+    # extended-slice store, so filling from bytes would hold the sieve plus two n/6-byte buffers, 1.67x n/2 bytes;
+    # filled from a bytearray it holds 1.33x.  The factors here are far smaller than the sieve.
+    n, j = 4 * 10**6, 12000
+    tracemalloc.start()
+    try:
+        value = core._prime_power_product(n, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == math.comb(n, j)
+    assert peak < 1.5 * (n + 1) // 2
